@@ -32,7 +32,6 @@ from .linalg import (
     as_vector,
     controllability_matrix,
     induced_inf_norm,
-    mat_mul,
     observability_matrix,
     rank,
     spectral_radius,
@@ -264,7 +263,7 @@ def closed_loop(sys: SystemSpec, gain: Gain) -> np.ndarray:
         raise ValueError(
             f"gain is {k.shape[0]}x{k.shape[1]}, expected {sys.b.shape[1]}x{sys.n}"
         )
-    return sys.a + mat_mul(sys.b, k)
+    return sys.a + sys.b @ k
 
 
 def _resolve_a_tilde(sys: SystemSpec, gain: Gain | None, a_tilde) -> np.ndarray:
@@ -297,11 +296,17 @@ def sensitivity_rows(sys: SystemSpec, a_tilde, horizon: int) -> np.ndarray:
     return out
 
 
-def _signed_maxima(
-    constraint_stack: np.ndarray, objective_block: np.ndarray, epsilon: float, step: int
-) -> list[float]:
-    """LP maxima of every signed row of ``objective_block`` over the band
-    polyhedron of ``constraint_stack``; unbounded programs yield inf."""
+def _step(
+    constraint_stack: np.ndarray,
+    objective_block: np.ndarray,
+    epsilon: float,
+    stop_tol: float,
+    step: int,
+) -> IterationRecord:
+    """One convergence test: the LP maxima of every signed row of
+    ``objective_block`` over the band polyhedron of ``constraint_stack``
+    (unbounded programs yield inf), stopped when all are within
+    ``epsilon + stop_tol``."""
     g = np.vstack([constraint_stack, -constraint_stack])
     h = np.full(g.shape[0], epsilon)
     values = []
@@ -329,7 +334,8 @@ def _signed_maxima(
                     step=step,
                     constraint=s,
                 )
-    return values
+    stopped = all(v <= epsilon + stop_tol for v in values)
+    return IterationRecord(step, tuple(values), stopped)
 
 
 def determine(
@@ -353,38 +359,27 @@ def determine(
     at = _resolve_a_tilde(sys, gain, a_tilde)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if stop_tol < 0:
-        raise ValueError("stop_tol must be nonnegative")
-    eps = sys.epsilon
+    if isinstance(stop_tol, bool) or not 0 <= stop_tol < np.inf:
+        raise ValueError("stop_tol must be a nonnegative finite number")
     blocks = [sys.c]
     history: list[IterationRecord] = []
     for k in range(int(max_iter)):
-        objective = blocks[-1] @ at
         stack = np.vstack(blocks)
-        values = _signed_maxima(stack, objective, eps, k)
-        stopped = all(v <= eps + stop_tol for v in values)
-        history.append(IterationRecord(k, tuple(values), stopped))
-        if stopped:
-            stack.setflags(write=False)
-            return CapacitySet(
-                a_tilde=at,
-                constraint_rows=stack,
-                epsilon=eps,
-                output_dim=sys.p,
-                k0=k,
-                status=DETERMINED,
-                history=tuple(history),
-            )
+        objective = blocks[-1] @ at
+        history.append(_step(stack, objective, sys.epsilon, stop_tol, k))
+        if history[-1].stopped:
+            break
         blocks.append(objective)
-    stack = np.vstack(blocks[:-1])
+    # on the limit the last stack holds steps 0..max_iter-1
+    stopped = history[-1].stopped
     stack.setflags(write=False)
     return CapacitySet(
         a_tilde=at,
         constraint_rows=stack,
-        epsilon=eps,
+        epsilon=sys.epsilon,
         output_dim=sys.p,
-        k0=None,
-        status=ITERATION_LIMIT,
+        k0=history[-1].step if stopped else None,
+        status=DETERMINED if stopped else ITERATION_LIMIT,
         history=tuple(history),
     )
 
@@ -404,9 +399,22 @@ def stop_test(
     block = cap.constraint_rows[: cap.output_dim]
     for _ in range(int(objective_step)):
         block = block @ cap.a_tilde
-    values = _signed_maxima(cap.constraint_rows, block, cap.epsilon, objective_step)
-    stopped = all(v <= cap.epsilon + stop_tol for v in values)
-    return stopped, tuple(values)
+    record = _step(cap.constraint_rows, block, cap.epsilon, stop_tol, objective_step)
+    return record.stopped, record.values
+
+
+def _first_violation(cap: CapacitySet, products: np.ndarray) -> Violation | None:
+    """Earliest band constraint broken by one state's row products."""
+    broken = np.flatnonzero(np.abs(products) > cap.epsilon + MEMBERSHIP_TOL)
+    if broken.size == 0:
+        return None
+    value = products[broken[0]]
+    step, j = divmod(int(broken[0]), cap.output_dim)
+    return Violation(
+        step=step,
+        constraint=2 * j + 1 if value > 0 else 2 * j + 2,
+        magnitude=float(abs(value)),
+    )
 
 
 def membership(cap: CapacitySet, x) -> MembershipResult:
@@ -421,20 +429,12 @@ def membership(cap: CapacitySet, x) -> MembershipResult:
         raise ValueError(
             f"x has length {x.shape[0]}, expected {cap.constraint_rows.shape[1]}"
         )
-    certified = cap.status == DETERMINED
-    products = cap.constraint_rows @ x
-    limit = cap.epsilon + MEMBERSHIP_TOL
-    p = cap.output_dim
-    for idx, value in enumerate(products):
-        if abs(value) > limit:
-            step, j = divmod(idx, p)
-            s = 2 * j + 1 if value > 0 else 2 * j + 2
-            return MembershipResult(
-                member=False,
-                certified=certified,
-                violation=Violation(step=step, constraint=s, magnitude=float(abs(value))),
-            )
-    return MembershipResult(member=True, certified=certified, violation=None)
+    violation = _first_violation(cap, cap.constraint_rows @ x)
+    return MembershipResult(
+        member=violation is None,
+        certified=cap.status == DETERMINED,
+        violation=violation,
+    )
 
 
 def check_gain(
@@ -453,24 +453,19 @@ def check_gain(
     and each e_j belong to the capacity set.
     """
     cap = determine(sys, gain, a_tilde=a_tilde, max_iter=max_iter, stop_tol=stop_tol)
-    alpha_res = membership(cap, sys.tau0)
-    beta_violations = []
-    n = sys.n
-    for j in range(n):
-        res = membership(cap, np.eye(n)[j])
-        if not res.member:
-            beta_violations.append(
-                BetaViolation(
-                    index=j + 1,
-                    first_violation_step=res.violation.step,
-                    magnitude=res.violation.magnitude,
-                )
-            )
+    # rows @ [tau0 | I], whose identity block is the rows themselves
+    products = np.column_stack([cap.constraint_rows @ sys.tau0, cap.constraint_rows])
+    alpha_violation, *violations = (_first_violation(cap, col) for col in products.T)
+    beta_violations = tuple(
+        BetaViolation(index=j, first_violation_step=v.step, magnitude=v.magnitude)
+        for j, v in enumerate(violations, start=1)
+        if v is not None
+    )
     return SensitivityReport(
-        alpha_tolerable=alpha_res.member,
-        alpha_violation=alpha_res.violation,
-        beta_violations=tuple(beta_violations),
-        admissible=alpha_res.member and not beta_violations,
+        alpha_tolerable=alpha_violation is None,
+        alpha_violation=alpha_violation,
+        beta_violations=beta_violations,
+        admissible=alpha_violation is None and not beta_violations,
         capacity=cap,
     )
 
@@ -503,17 +498,11 @@ def analyze(
     norm = induced_inf_norm(at)
     decay_index = None
     if radius < 1.0:
-        norms = []
-        block = sys.c
-        for _ in range(int(horizon) + 1):
-            norms.append(induced_inf_norm(block))
-            block = block @ at
-        idx = None
-        for i in range(len(norms) - 1, -1, -1):
-            if norms[i] > sys.epsilon:
-                break
-            idx = i
-        decay_index = idx
+        blocks = sensitivity_rows(sys, at, horizon).reshape(int(horizon) + 1, sys.p, sys.n)
+        norms = np.abs(blocks).sum(axis=2).max(axis=1)
+        over = np.flatnonzero(norms > sys.epsilon)
+        last = int(over[-1]) if over.size else -1
+        decay_index = last + 1 if last < horizon else None
     return AnalysisReport(
         controllable=controllable,
         observable=observable,
@@ -541,16 +530,7 @@ def simulate(
     may be given together (a_tilde drives the dynamics, the gain reports
     inputs).
     """
-    if gain is None and a_tilde is None:
-        raise ValueError("provide gain or a_tilde")
-    if a_tilde is None:
-        at = closed_loop(sys, gain)
-    else:
-        at = as_matrix(a_tilde, "a_tilde")
-        if at.shape != (sys.n, sys.n):
-            raise ValueError(
-                f"a_tilde must be {sys.n}x{sys.n}, got {at.shape[0]}x{at.shape[1]}"
-            )
+    at = _resolve_a_tilde(sys, gain if a_tilde is None else None, a_tilde)
     beta = as_vector(beta, "beta")
     if beta.shape[0] != sys.n:
         raise ValueError(f"beta has length {beta.shape[0]}, expected {sys.n}")

@@ -48,7 +48,6 @@ from .capacity import (
     region_sample,
     simulate,
 )
-from .linalg import EigenConvergenceError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -95,11 +94,15 @@ def _as_int(value, key: str) -> int:
     return value
 
 
-def _matrix(data, key: str, rows: int, cols: int) -> np.ndarray:
+def _floats(data, key: str, kind: str) -> np.ndarray:
     try:
-        m = np.array(data, dtype=float)
+        return np.array(data, dtype=float)
     except (TypeError, ValueError) as err:
-        raise InputError(f"field '{key}' is not a numeric matrix: {err}") from None
+        raise InputError(f"field '{key}' is not a numeric {kind}: {err}") from None
+
+
+def _matrix(data, key: str, rows: int, cols: int) -> np.ndarray:
+    m = _floats(data, key, "matrix")
     if m.ndim != 2 or m.shape != (rows, cols):
         raise InputError(
             f"field '{key}' must be a {rows}x{cols} matrix of row arrays"
@@ -107,6 +110,22 @@ def _matrix(data, key: str, rows: int, cols: int) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InputError(f"field '{key}' contains non-finite entries")
     return m
+
+
+def _max_iter(value: int, name: str) -> int:
+    if value < 1:
+        raise InputError(f"{name} must be at least 1")
+    return value
+
+
+def _stop_tol(value, name: str) -> float:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 <= value < math.inf
+    ):
+        raise InputError(f"{name} must be a nonnegative finite number")
+    return float(value)
 
 
 KNOWN_FIELDS = {"n", "m", "p", "A", "B", "C", "K", "A_tilde", "tau0", "epsilon", "options"}
@@ -141,7 +160,7 @@ def parse_problem(data: dict) -> Problem:
     elif data.get("m") is not None:
         raise InputError("field 'm' is given but 'B' is missing")
 
-    tau0 = np.array(_require(data, "tau0"), dtype=float)
+    tau0 = _floats(_require(data, "tau0"), "tau0", "array")
     if tau0.ndim != 1 or tau0.shape[0] != n:
         raise InputError(f"field 'tau0' must be a flat array of length {n}")
 
@@ -183,15 +202,10 @@ def parse_problem(data: dict) -> Problem:
     unknown = set(raw_opts) - KNOWN_OPTIONS
     if unknown:
         raise InputError(f"unknown option(s): {', '.join(sorted(unknown))}")
-    max_iter = raw_opts.get("max_iter", 200)
-    stop_tol = raw_opts.get("stop_tol", 1e-9)
-    horizon = raw_opts.get("horizon", 4 * n)
-    max_iter = _as_int(max_iter, "options.max_iter")
-    horizon = _as_int(horizon, "options.horizon")
-    if max_iter < 1:
-        raise InputError("option 'max_iter' must be at least 1")
-    if not isinstance(stop_tol, (int, float)) or float(stop_tol) < 0:
-        raise InputError("option 'stop_tol' must be a nonnegative number")
+    max_iter = _as_int(raw_opts.get("max_iter", 200), "options.max_iter")
+    max_iter = _max_iter(max_iter, "option 'max_iter'")
+    stop_tol = _stop_tol(raw_opts.get("stop_tol", 1e-9), "option 'stop_tol'")
+    horizon = _as_int(raw_opts.get("horizon", 4 * n), "options.horizon")
     if horizon < n:
         raise InputError(f"option 'horizon' must be at least n = {n}")
 
@@ -199,7 +213,7 @@ def parse_problem(data: dict) -> Problem:
         system=system,
         gain=gain,
         a_tilde=a_tilde,
-        options=Options(max_iter=max_iter, stop_tol=float(stop_tol), horizon=horizon),
+        options=Options(max_iter=max_iter, stop_tol=stop_tol, horizon=horizon),
     )
 
 
@@ -241,14 +255,21 @@ def problem_to_dict(problem: Problem) -> dict:
     return out
 
 
-def _run_determine(problem: Problem, max_iter: int, stop_tol: float) -> CapacitySet:
+def _loop(problem: Problem) -> dict:
+    """The loop keyword argument: the gain if present, otherwise a_tilde."""
     if problem.gain is not None:
-        return determine(
-            problem.system, problem.gain, max_iter=max_iter, stop_tol=stop_tol
-        )
-    return determine(
-        problem.system, a_tilde=problem.a_tilde, max_iter=max_iter, stop_tol=stop_tol
-    )
+        return {"gain": problem.gain}
+    return {"a_tilde": problem.a_tilde}
+
+
+def _limits(problem: Problem, args) -> dict:
+    """The file's max_iter and stop_tol, overridden by --max-iter/--stop-tol."""
+    limits = {"max_iter": problem.options.max_iter, "stop_tol": problem.options.stop_tol}
+    if args.max_iter is not None:
+        limits["max_iter"] = _max_iter(args.max_iter, "--max-iter")
+    if args.stop_tol is not None:
+        limits["stop_tol"] = _stop_tol(args.stop_tol, "--stop-tol")
+    return limits
 
 
 def _values_json(values: tuple[float, ...]) -> list:
@@ -274,10 +295,7 @@ def _capacity_json(cap: CapacitySet) -> dict:
 
 def cmd_determine(args) -> int:
     problem = load_problem(args.file)
-    opts = problem.options
-    max_iter = opts.max_iter if args.max_iter is None else args.max_iter
-    stop_tol = opts.stop_tol if args.stop_tol is None else args.stop_tol
-    cap = _run_determine(problem, max_iter, stop_tol)
+    cap = determine(problem.system, **_loop(problem), **_limits(problem, args))
     if args.json:
         print(json.dumps(_capacity_json(cap), indent=2))
     else:
@@ -320,17 +338,7 @@ def _report_json(report: SensitivityReport) -> dict:
 
 def cmd_check_gain(args) -> int:
     problem = load_problem(args.file)
-    opts = problem.options
-    max_iter = opts.max_iter if args.max_iter is None else args.max_iter
-    stop_tol = opts.stop_tol if args.stop_tol is None else args.stop_tol
-    if problem.gain is not None:
-        report = check_gain(
-            problem.system, problem.gain, max_iter=max_iter, stop_tol=stop_tol
-        )
-    else:
-        report = check_gain(
-            problem.system, a_tilde=problem.a_tilde, max_iter=max_iter, stop_tol=stop_tol
-        )
+    report = check_gain(problem.system, **_loop(problem), **_limits(problem, args))
     cap = report.capacity
     if args.json:
         print(json.dumps(_report_json(report), indent=2))
@@ -369,12 +377,7 @@ def cmd_check_gain(args) -> int:
 
 def cmd_analyze(args) -> int:
     problem = load_problem(args.file)
-    if problem.gain is not None:
-        rep = analyze(problem.system, problem.gain, horizon=problem.options.horizon)
-    else:
-        rep = analyze(
-            problem.system, a_tilde=problem.a_tilde, horizon=problem.options.horizon
-        )
+    rep = analyze(problem.system, **_loop(problem), horizon=problem.options.horizon)
     if args.json:
         print(
             json.dumps(
@@ -465,10 +468,7 @@ def cmd_region(args) -> int:
         raise InputError("--grid must be at least 2")
     if not (args.xmin < args.xmax) or not (args.ymin < args.ymax):
         raise InputError("ranges must satisfy xmin < xmax and ymin < ymax")
-    opts = problem.options
-    max_iter = opts.max_iter if args.max_iter is None else args.max_iter
-    stop_tol = opts.stop_tol if args.stop_tol is None else args.stop_tol
-    cap = _run_determine(problem, max_iter, stop_tol)
+    cap = determine(problem.system, **_loop(problem), **_limits(problem, args))
     raster = region_sample(cap, (args.xmin, args.xmax), (args.ymin, args.ymax), args.grid)
     xs = np.linspace(args.xmin, args.xmax, args.grid)
     ys = np.linspace(args.ymin, args.ymax, args.grid)
@@ -507,22 +507,9 @@ def cmd_simulate(args) -> int:
         raise InputError(f"--beta must have {n} components, got {len(beta)}")
     if args.steps < 0:
         raise InputError("--steps must be nonnegative")
-    if problem.gain is not None:
-        traj = simulate(
-            problem.system,
-            problem.gain,
-            alpha=args.alpha,
-            beta=beta,
-            steps=args.steps,
-        )
-    else:
-        traj = simulate(
-            problem.system,
-            a_tilde=problem.a_tilde,
-            alpha=args.alpha,
-            beta=beta,
-            steps=args.steps,
-        )
+    traj = simulate(
+        problem.system, **_loop(problem), alpha=args.alpha, beta=beta, steps=args.steps
+    )
     p = problem.system.p
     if args.json:
         print(
@@ -623,9 +610,6 @@ def main(argv=None) -> int:
             f"gaincap: LP failure at step {err.step}, constraint {err.constraint}: {err}",
             file=sys.stderr,
         )
-        return EXIT_INPUT
-    except EigenConvergenceError as err:
-        print(f"gaincap: eigenvalue computation failed: {err}", file=sys.stderr)
         return EXIT_INPUT
 
 

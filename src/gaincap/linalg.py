@@ -10,25 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "MAX_EIG_DIM",
-    "EigenConvergenceError",
     "as_matrix",
     "as_vector",
-    "mat_mul",
     "rank",
     "controllability_matrix",
     "observability_matrix",
-    "characteristic_coefficients",
     "spectral_radius",
     "induced_inf_norm",
 ]
-
-# eigenvalue routine refuses anything larger (desk scale)
-MAX_EIG_DIM = 32
-
-
-class EigenConvergenceError(RuntimeError):
-    """Root iteration failed to converge within its sweep budget."""
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -58,50 +47,13 @@ def _require_square(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be square, got shape {m.shape[0]}x{m.shape[1]}")
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product a @ b with explicit shape checking."""
-    a = as_matrix(a, "left factor")
-    b = as_matrix(b, "right factor")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    out = a @ b
-    out.setflags(write=False)
-    return out
-
-
 def rank(m, tol: float = 1e-9) -> int:
-    """Numerical rank by row reduction with partial pivoting.
-
-    A pivot counts iff its magnitude exceeds ``tol`` times the largest
-    absolute entry of the original matrix (or ``tol`` itself for the zero
-    matrix).
-    """
+    """Numerical rank: the number of singular values above ``tol`` times
+    the largest absolute entry."""
     m = as_matrix(m, "matrix")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    work = np.array(m, dtype=float)
-    rows, cols = work.shape
-    scale = float(np.max(np.abs(work)))
-    threshold = tol * (scale if scale > 0.0 else 1.0)
-    r = 0
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        sub = np.abs(work[row:, col])
-        piv = int(np.argmax(sub)) + row
-        if abs(work[piv, col]) <= threshold:
-            continue
-        if piv != row:
-            work[[row, piv]] = work[[piv, row]]
-        below = work[row + 1 :, col] / work[row, col]
-        work[row + 1 :] -= np.outer(below, work[row])
-        work[row + 1 :, col] = 0.0
-        r += 1
-        row += 1
-    return r
+    return int(np.linalg.matrix_rank(m, tol=tol * np.max(np.abs(m))))
 
 
 def controllability_matrix(a, b) -> np.ndarray:
@@ -140,67 +92,11 @@ def observability_matrix(a_tilde, c) -> np.ndarray:
     return out
 
 
-def characteristic_coefficients(m) -> np.ndarray:
-    """Coefficients [1, c1, ..., cn] of det(lambda*I - M).
-
-    Faddeev-LeVerrier recursion: M_k = M M_{k-1} + c_{k-1} I and
-    c_k = -trace(M M_k) / k.
-    """
+def spectral_radius(m) -> float:
+    """Largest eigenvalue magnitude of a square matrix."""
     m = as_matrix(m, "matrix")
     _require_square(m, "matrix")
-    n = m.shape[0]
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    mk = np.zeros((n, n))
-    eye = np.eye(n)
-    for k in range(1, n + 1):
-        mk = m @ mk + coeffs[k - 1] * eye
-        coeffs[k] = -np.trace(m @ mk) / k
-    coeffs.setflags(write=False)
-    return coeffs
-
-
-def _durand_kerner(coeffs: np.ndarray, tol: float, max_sweeps: int = 500) -> np.ndarray:
-    """All roots of a monic real polynomial by simultaneous iteration.
-
-    Stops when the largest correction falls below ``tol`` relative to the
-    root magnitudes; raises :class:`EigenConvergenceError` past the budget.
-    """
-    n = len(coeffs) - 1
-    if n == 1:
-        return np.array([-coeffs[1]], dtype=complex)
-    # Cauchy bound keeps the seed circle outside every root
-    bound = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    z = bound * (0.4 + 0.9j) ** np.arange(1, n + 1)
-    for _ in range(max_sweeps):
-        pvals = np.polyval(coeffs, z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        collided = np.abs(diff) < 1e-300
-        if collided.any():
-            z = z + 1e-8 * bound * (1 + 1j) * collided.any(axis=1)
-            continue
-        delta = pvals / np.prod(diff, axis=1)
-        z = z - delta
-        if np.max(np.abs(delta)) <= tol * max(1.0, float(np.max(np.abs(z)))):
-            return z
-    raise EigenConvergenceError(
-        f"root iteration did not converge in {max_sweeps} sweeps (tol={tol:g})"
-    )
-
-
-def spectral_radius(m, tol: float = 1e-9) -> float:
-    """Largest eigenvalue magnitude of a square matrix (n <= 32)."""
-    m = as_matrix(m, "matrix")
-    _require_square(m, "matrix")
-    if m.shape[0] > MAX_EIG_DIM:
-        raise ValueError(
-            f"matrix is {m.shape[0]}x{m.shape[0]}; limit is {MAX_EIG_DIM}"
-        )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    roots = _durand_kerner(characteristic_coefficients(m), tol)
-    return float(np.max(np.abs(roots)))
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def induced_inf_norm(m) -> float:

@@ -82,6 +82,12 @@ def test_determine_requires_one_loop_description():
         determine(two_state(), two_state_gain(), a_tilde=np.eye(2))
 
 
+def test_determine_rejects_bad_stop_tol():
+    for bad in (-1.0, math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="stop_tol"):
+            determine(two_state(), two_state_gain(), stop_tol=bad)
+
+
 def test_determine_two_state_frozen():
     cap = determine(two_state(), two_state_gain())
     assert cap.status == DETERMINED
@@ -223,6 +229,21 @@ def test_check_gain_offset_sensitive():
     assert bv.magnitude == pytest.approx(1.89)
 
 
+def test_check_gain_matches_membership():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        a_tilde = rng.normal(size=(n, n)) / n
+        sys_ = SystemSpec(a_tilde, None, rng.normal(size=(2, n)), rng.normal(size=n), 0.8)
+        report = check_gain(sys_, a_tilde=a_tilde)
+        alpha = membership(report.capacity, sys_.tau0)
+        assert report.alpha_violation == alpha.violation
+        betas = [membership(report.capacity, e).violation for e in np.eye(n)]
+        got = [(bv.index, bv.first_violation_step, bv.magnitude) for bv in report.beta_violations]
+        expected = [(j, v.step, v.magnitude) for j, v in enumerate(betas, 1) if v is not None]
+        assert got == expected
+
+
 def test_check_gain_nominal_state_outside():
     sys7 = SystemSpec(
         a=[[0.9, 0.0], [0.6, 0.3]],
@@ -285,6 +306,36 @@ def test_analyze_without_input_map():
     rep = analyze(sys_, a_tilde=[[0.9, 0.0], [0.2, 0.1]])
     assert rep.controllable is None
     assert not rep.structural_guarantee  # cannot be certified without b
+    assert rep.observable
+
+
+def test_analyze_decay_index_matches_block_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        a_tilde = rng.normal(size=(n, n))
+        a_tilde *= rng.uniform(0.5, 0.95) / np.max(np.abs(np.linalg.eigvals(a_tilde)))
+        sys_ = SystemSpec(a_tilde, None, rng.normal(size=(2, n)), np.zeros(n), 0.5)
+        rep = analyze(sys_, a_tilde=a_tilde)
+        # reference: scan the blocks C A~^i from the horizon backwards
+        horizon = 4 * n
+        blocks = [sys_.c @ np.linalg.matrix_power(a_tilde, i) for i in range(horizon + 1)]
+        expected = None
+        for i in range(horizon, -1, -1):
+            if np.max(np.sum(np.abs(blocks[i]), axis=1)) > sys_.epsilon:
+                break
+            expected = i
+        assert rep.decay_index == expected
+
+
+def test_analyze_large_loop_matches_numpy():
+    rng = np.random.default_rng(40)
+    q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+    a_tilde = 0.97 * q
+    sys40 = SystemSpec(a_tilde, None, rng.normal(size=(2, 40)), np.zeros(40), 1.0)
+    rep = analyze(sys40, a_tilde=a_tilde)
+    expected = float(np.max(np.abs(np.linalg.eigvals(a_tilde))))
+    assert rep.spectral_radius == pytest.approx(expected, rel=1e-12)
     assert rep.observable
 
 

@@ -82,6 +82,10 @@ def test_dimension_mismatch():
     data["C"] = [[1.0, 1.0, 1.0]]
     with pytest.raises(InputError, match="'C'"):
         parse_problem(data)
+    data = load_fixture_dict("ex1")
+    data["tau0"] = ["x", 1]
+    with pytest.raises(InputError, match="'tau0'"):
+        parse_problem(data)
 
 
 def test_gain_requires_input_map():
@@ -114,6 +118,12 @@ def test_bad_options():
     data["options"] = {"mystery": 1}
     with pytest.raises(InputError, match="mystery"):
         parse_problem(data)
+    # json.load accepts Infinity and NaN; an infinite tolerance would
+    # certify any loop at k0 = 0
+    for bad in (math.inf, math.nan, True, -1.0):
+        data["options"] = {"stop_tol": bad}
+        with pytest.raises(InputError, match="stop_tol"):
+            parse_problem(data)
 
 
 def test_defaults_applied():
@@ -166,6 +176,18 @@ def test_determine_stop_tol_flag(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert report["k0"] == 0
+
+
+def test_determine_bad_max_iter_flag(capsys):
+    code = main(["determine", fixture("ex1"), "--max-iter", "0"])
+    assert code == EXIT_INPUT
+    assert "gaincap: error: --max-iter" in capsys.readouterr().err
+
+
+def test_check_gain_bad_stop_tol_flag(capsys):
+    code = main(["check-gain", fixture("ex1"), "--stop-tol", "-1"])
+    assert code == EXIT_INPUT
+    assert "gaincap: error: --stop-tol" in capsys.readouterr().err
 
 
 def test_determine_missing_file(capsys):

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from gaincap.linalg import (
-    EigenConvergenceError,
     as_matrix,
     as_vector,
-    characteristic_coefficients,
     controllability_matrix,
     induced_inf_norm,
-    mat_mul,
     observability_matrix,
     rank,
     spectral_radius,
@@ -37,22 +34,13 @@ def test_as_vector():
         as_vector([[0.3], [0.5]], "start")
 
 
-def test_mat_mul_known_product():
-    b = [[-1.5, 2.0], [1.0, -3.0]]
-    k = [[0.32, 0.16], [0.24, 0.12]]
-    assert np.allclose(mat_mul(b, k), [[0.0, 0.0], [-0.4, -0.2]])
-
-
-def test_mat_mul_shape_error():
-    with pytest.raises(ValueError, match="multiply"):
-        mat_mul(np.eye(2), np.ones((3, 2)))
-
-
 def test_rank_frozen_cases():
     assert rank(np.eye(3)) == 3
     assert rank([[1.0, 2.0], [2.0, 4.0]]) == 1
     assert rank([[-1.5, 2.0], [1.0, -3.0]]) == 2
     assert rank(np.zeros((4, 2))) == 0
+    # relative to the largest entry, so numpy's default tolerance would say 2
+    assert rank(np.diag([1.0, 1e-12])) == 1
 
 
 def test_rank_matches_numpy_on_random_products():
@@ -91,13 +79,6 @@ def test_observability_matrix_frozen():
     assert np.allclose(got[1], [1.1, 0.1])
 
 
-def test_characteristic_coefficients_match_numpy():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 3, 5, 8):
-        m = rng.normal(size=(n, n))
-        assert np.allclose(characteristic_coefficients(m), np.poly(m), atol=1e-8)
-
-
 def test_spectral_radius_frozen_cases():
     assert spectral_radius([[0.9, 0.0], [0.2, 0.1]]) == pytest.approx(0.9)
     assert spectral_radius([[0.5, 0.0], [-1.0, -0.4]]) == pytest.approx(0.5)
@@ -106,9 +87,6 @@ def test_spectral_radius_frozen_cases():
 
 
 def test_spectral_radius_matches_numpy_on_triangular():
-    # triangular matrices expose repeated eigenvalues, the hard case for
-    # simultaneous root iteration; the increment-based stop keeps the error
-    # near multiplicity * tol rather than tol**(1/multiplicity)
     rng = np.random.default_rng(19)
     for _ in range(25):
         n = int(rng.integers(2, 7))
@@ -124,18 +102,6 @@ def test_spectral_radius_similarity_invariant():
         t = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
         sim = np.linalg.solve(t, m @ t)
         assert spectral_radius(sim) == pytest.approx(spectral_radius(m), abs=1e-6)
-
-
-def test_spectral_radius_rejects_oversized():
-    with pytest.raises(ValueError, match="limit"):
-        spectral_radius(np.eye(33))
-
-
-def test_spectral_radius_convergence_budget():
-    # a repeated eigenvalue keeps the root increments from ever reaching an
-    # absurd tolerance, so the sweep budget must trip
-    with pytest.raises(EigenConvergenceError):
-        spectral_radius([[1.0, 1.0], [0.0, 1.0]], tol=1e-300)
 
 
 def test_induced_inf_norm():
