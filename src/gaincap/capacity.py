@@ -13,7 +13,9 @@ Truncating the history at step k gives a shrinking family of polyhedra
 and ``Theta`` equals the finite polyhedron ``Theta_k``.  :func:`determine`
 detects that fixpoint by linear programming: the band at step k+1 is already
 implied exactly when each signed output row at step k+1 has maximum at most
-epsilon over ``Theta_k``.  The smallest such k is the determination index.
+epsilon over ``Theta_k``.  ``Theta_k`` is centrally symmetric, so a row and
+its negation have the same maximum and each row is maximized once.  The
+smallest such k is the determination index.
 
 Because trajectories are linear in (alpha, beta), the gain tolerates *every*
 disturbance pair at once exactly when tau0 and each canonical basis vector
@@ -36,7 +38,7 @@ from .linalg import (
     rank,
     spectral_radius,
 )
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, SimplexBudgetError, solve
+from .lp import UNBOUNDED, LpProblem, SimplexBudgetError, solve
 
 __all__ = [
     "DETERMINED",
@@ -148,7 +150,8 @@ class IterationRecord:
 
     ``values[s-1]`` is the LP maximum of signed output row s at step
     ``step + 1`` over the step-``step`` truncation; unbounded programs are
-    recorded as ``inf``.
+    recorded as ``inf``.  Each row is maximized once: by symmetry of the
+    truncation, ``values[2j]`` (+row) and ``values[2j+1]`` (-row) are equal.
     """
 
     step: int
@@ -306,34 +309,25 @@ def _step(
     """One convergence test: the LP maxima of every signed row of
     ``objective_block`` over the band polyhedron of ``constraint_stack``
     (unbounded programs yield inf), stopped when all are within
-    ``epsilon + stop_tol``."""
+    ``epsilon + stop_tol``.  The polyhedron is centrally symmetric, so each
+    row is maximized once and its negation is recorded with the same
+    maximum."""
+    if isinstance(stop_tol, bool) or not 0 <= stop_tol < np.inf:
+        raise ValueError("stop_tol must be a nonnegative finite number")
     g = np.vstack([constraint_stack, -constraint_stack])
     h = np.full(g.shape[0], epsilon)
     values = []
-    for j in range(objective_block.shape[0]):
-        for sign in (1.0, -1.0):
-            s = 2 * j + 1 if sign > 0 else 2 * j + 2
-            try:
-                outcome = solve(LpProblem(sign * objective_block[j], g, h))
-            except SimplexBudgetError as err:
-                raise DeterminationError(
-                    f"LP solver gave up at step {step}, signed constraint {s}: {err}",
-                    step=step,
-                    constraint=s,
-                ) from err
-            if outcome.status == UNBOUNDED:
-                values.append(float("inf"))
-            elif outcome.status == OPTIMAL:
-                values.append(float(outcome.value))
-            else:
-                # the origin satisfies every band constraint, so an
-                # infeasible report can only be a solver defect
-                raise DeterminationError(
-                    f"band polyhedron reported {INFEASIBLE} at step {step}, "
-                    f"signed constraint {s}",
-                    step=step,
-                    constraint=s,
-                )
+    for j, row in enumerate(objective_block):
+        try:
+            outcome = solve(LpProblem(row, g, h))
+        except SimplexBudgetError as err:
+            raise DeterminationError(
+                f"LP solver gave up at step {step}, signed constraint {2 * j + 1}: {err}",
+                step=step,
+                constraint=2 * j + 1,
+            ) from err
+        value = float("inf") if outcome.status == UNBOUNDED else float(outcome.value)
+        values += [value, value]
     stopped = all(v <= epsilon + stop_tol for v in values)
     return IterationRecord(step, tuple(values), stopped)
 
@@ -349,18 +343,17 @@ def determine(
     """Run the fixpoint search for the capacity set.
 
     At each step k the band constraints through step k are held fixed and
-    each signed output row at step k+1 is maximized.  When every maximum is
-    at most ``epsilon + stop_tol`` the truncation has converged: k is the
-    determination index and the stacked rows describe the capacity set
-    exactly.  An unbounded subproblem or a larger maximum advances k.  After
-    ``max_iter`` steps the search stops with status ``"iteration_limit"``
-    and the accumulated rows describe an outer truncation only.
+    each output row at step k+1 is maximized (by symmetry, so is its
+    negation).  When every maximum is at most ``epsilon + stop_tol`` the
+    truncation has converged: k is the determination index and the stacked
+    rows describe the capacity set exactly.  An unbounded subproblem or a
+    larger maximum advances k.  After ``max_iter`` steps the search stops
+    with status ``"iteration_limit"`` and the accumulated rows describe an
+    outer truncation only.
     """
     at = _resolve_a_tilde(sys, gain, a_tilde)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if isinstance(stop_tol, bool) or not 0 <= stop_tol < np.inf:
-        raise ValueError("stop_tol must be a nonnegative finite number")
     blocks = [sys.c]
     history: list[IterationRecord] = []
     for k in range(int(max_iter)):
@@ -389,10 +382,11 @@ def stop_test(
 ) -> tuple[bool, tuple[float, ...]]:
     """Re-run the convergence test of a capacity set at a chosen step.
 
-    Maximizes each signed output row at ``objective_step`` over the set's
-    stored constraints and reports whether all maxima stay within
-    ``epsilon + stop_tol``.  For a determined set this must pass at every
-    step beyond k0 — the fixpoint, once reached, persists.
+    Maximizes each output row at ``objective_step`` over the set's stored
+    constraints (its negation has the same maximum by symmetry) and reports
+    whether all signed maxima stay within ``epsilon + stop_tol``.  For a
+    determined set this must pass at every step beyond k0 — the fixpoint,
+    once reached, persists.
     """
     if objective_step < 0:
         raise ValueError("objective_step must be nonnegative")

@@ -466,6 +466,8 @@ def cmd_region(args) -> int:
         )
     if args.grid < 2:
         raise InputError("--grid must be at least 2")
+    if not all(map(math.isfinite, (args.xmin, args.xmax, args.ymin, args.ymax))):
+        raise InputError("--xmin, --xmax, --ymin and --ymax must be finite numbers")
     if not (args.xmin < args.xmax) or not (args.ymin < args.ymax):
         raise InputError("ranges must satisfy xmin < xmax and ymin < ymax")
     cap = determine(problem.system, **_loop(problem), **_limits(problem, args))
@@ -502,6 +504,8 @@ def cmd_simulate(args) -> int:
         beta = [float(part) for part in args.beta.split(",")] if args.beta else []
     except ValueError:
         raise InputError(f"--beta must be comma-separated numbers, got '{args.beta}'")
+    if not all(map(math.isfinite, [args.alpha, *beta])):
+        raise InputError("--alpha and --beta must be finite numbers")
     n = problem.system.n
     if len(beta) != n:
         raise InputError(f"--beta must have {n} components, got {len(beta)}")

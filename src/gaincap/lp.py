@@ -1,12 +1,15 @@
-"""Dense linear programming by a two-phase primal simplex.
+"""Dense linear programming by a one-phase primal simplex.
 
-Problems are stated as: maximize c.x subject to G x <= h, x sign-free.
+Problems are stated as: maximize c.x subject to G x <= h, x sign-free, with
+h >= 0 so that the origin is feasible.  Every LP of the fixpoint search has
+that form (the band is ``|row . x| <= epsilon`` with epsilon > 0), so the
+all-slack basis at the origin is the start vertex and no phase 1 is needed.
 Internally each free variable is split into a difference of two nonnegative
-variables and one slack is appended per constraint; phase 1 (artificial
-variables) runs only when some h_i < 0.  Bland's anti-cycling rule picks the
-entering and leaving variables, so the iteration count is finite; a hard
-budget of ``50 * (variables + constraints)`` pivots guards against numerical
-stalls and raises :class:`SimplexBudgetError` when exceeded.
+variables and one slack is appended per constraint.  Bland's anti-cycling
+rule picks the entering and leaving variables, so the iteration count is
+finite; a hard budget of ``50 * (variables + constraints)`` pivots guards
+against numerical stalls and raises :class:`SimplexBudgetError` when
+exceeded.
 
 Rows of [G | h] and the objective are equilibrated (scaled by their largest
 absolute coefficient) before the tableau is built.  That is exactly
@@ -26,7 +29,6 @@ from .linalg import as_matrix, as_vector
 __all__ = [
     "OPTIMAL",
     "UNBOUNDED",
-    "INFEASIBLE",
     "LpProblem",
     "LpOutcome",
     "SimplexBudgetError",
@@ -35,10 +37,8 @@ __all__ = [
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
 
 PIVOT_TOL = 1e-10
-FEAS_TOL = 1e-7
 
 
 class SimplexBudgetError(RuntimeError):
@@ -47,7 +47,7 @@ class SimplexBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x  subject to  g x <= h  (x sign-free)."""
+    """maximize objective . x  subject to  g x <= h  (x sign-free, h >= 0)."""
 
     objective: np.ndarray
     g: np.ndarray
@@ -66,6 +66,10 @@ class LpProblem:
             raise ValueError(
                 f"constraint matrix has {self.g.shape[0]} rows, "
                 f"bounds vector has {self.h.shape[0]}"
+            )
+        if (self.h < 0).any():
+            raise ValueError(
+                "constraint bounds must be nonnegative: the origin is the start vertex"
             )
 
 
@@ -96,13 +100,13 @@ def _iterate(
     obj: np.ndarray,
     basis: list[int],
     budget: int,
-    used: int,
-) -> tuple[str, int]:
+) -> str:
     """Run primal simplex sweeps on (tab, rhs) in place until optimal or
     unbounded.  Bland's rule: the entering column is the lowest-index one with
     positive reduced cost, the leaving row breaks ratio ties by lowest basis
     index."""
     nrows, ncols = tab.shape
+    used = 0
     while True:
         reduced = obj - obj[basis] @ tab
         reduced[basis] = 0.0
@@ -112,11 +116,11 @@ def _iterate(
                 entering = j
                 break
         if entering < 0:
-            return OPTIMAL, used
+            return OPTIMAL
         col = tab[:, entering]
         positive = col > PIVOT_TOL
         if not positive.any():
-            return UNBOUNDED, used
+            return UNBOUNDED
         ratios = np.where(positive, np.maximum(rhs, 0.0) / np.where(positive, col, 1.0), np.inf)
         best = float(np.min(ratios))
         leaving = -1
@@ -138,8 +142,8 @@ def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
     """Solve an :class:`LpProblem`.
 
     Returns an :class:`LpOutcome` with status ``optimal`` (point and value
-    set), ``unbounded``, or ``infeasible``.  ``iteration_budget`` overrides
-    the default pivot budget of ``50 * (variables + constraints)``.
+    set) or ``unbounded``.  ``iteration_budget`` overrides the default
+    pivot budget of ``50 * (variables + constraints)``.
     """
     c = problem.objective
     n = c.shape[0]
@@ -150,61 +154,20 @@ def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
     row_scale = np.max(np.abs(problem.g), axis=1)
     row_scale[row_scale == 0.0] = 1.0
     g = problem.g / row_scale[:, None]
-    h = problem.h / row_scale
+    rhs = problem.h / row_scale
     obj_scale = float(np.max(np.abs(c)))
     if obj_scale == 0.0:
         obj_scale = 1.0
     c_s = c / obj_scale
 
-    # split free variables, append slacks
-    ncols = 2 * n + r
+    # split free variables, append slacks; the all-slack basis is the origin
     tab = np.hstack([g, -g, np.eye(r)])
-    rhs = h.copy()
     obj = np.concatenate([c_s, -c_s, np.zeros(r)])
     basis = [2 * n + i for i in range(r)]
-    used = 0
 
-    negative = rhs < 0
-    if negative.any():
-        # phase 1: flip negative rows, add one artificial per flipped row
-        tab[negative] *= -1.0
-        rhs[negative] *= -1.0
-        art_rows = np.where(negative)[0]
-        art = np.zeros((r, len(art_rows)))
-        for idx, i in enumerate(art_rows):
-            art[i, idx] = 1.0
-            basis[i] = ncols + idx
-        tab1 = np.hstack([tab, art])
-        obj1 = np.zeros(ncols + len(art_rows))
-        obj1[ncols:] = -1.0
-        status, used = _iterate(tab1, rhs, obj1, basis, budget, used)
-        if status != OPTIMAL:
-            raise SimplexBudgetError("phase 1 reported an unbounded objective")
-        infeasibility = -float(obj1[basis] @ rhs)
-        if infeasibility > FEAS_TOL:
-            return LpOutcome(INFEASIBLE)
-        # drive leftover artificials out of the basis; a row that cannot be
-        # pivoted is redundant and is dropped
-        keep = np.ones(r, dtype=bool)
-        for i in range(r):
-            if basis[i] < ncols:
-                continue
-            row = tab1[i, :ncols]
-            pivots = np.where(np.abs(row) > PIVOT_TOL)[0]
-            if pivots.size:
-                used += 1
-                _pivot(tab1, rhs, i, int(pivots[0]))
-                basis[i] = int(pivots[0])
-            else:
-                keep[i] = False
-        tab = tab1[keep, :ncols]
-        rhs = rhs[keep]
-        basis = [b for i, b in enumerate(basis) if keep[i]]
-
-    status, used = _iterate(tab, rhs, obj, basis, budget, used)
-    if status == UNBOUNDED:
+    if _iterate(tab, rhs, obj, basis, budget) == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
-    x_split = np.zeros(ncols)
+    x_split = np.zeros(tab.shape[1])
     x_split[basis] = rhs
     x = x_split[:n] - x_split[n : 2 * n]
     x.setflags(write=False)

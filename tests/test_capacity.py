@@ -1,8 +1,11 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaincap.capacity
 from gaincap.capacity import (
     DETERMINED,
     ITERATION_LIMIT,
@@ -18,6 +21,7 @@ from gaincap.capacity import (
     simulate,
     stop_test,
 )
+from gaincap.cli import load_problem
 
 ROOT2 = math.sqrt(2.0)
 
@@ -83,9 +87,12 @@ def test_determine_requires_one_loop_description():
 
 
 def test_determine_rejects_bad_stop_tol():
+    cap = determine(two_state(), two_state_gain())
     for bad in (-1.0, math.inf, math.nan, True):
         with pytest.raises(ValueError, match="stop_tol"):
             determine(two_state(), two_state_gain(), stop_tol=bad)
+        with pytest.raises(ValueError, match="stop_tol"):
+            stop_test(cap, 0, stop_tol=bad)
 
 
 def test_determine_two_state_frozen():
@@ -416,6 +423,36 @@ def test_stop_test_persists_after_determination():
         stopped, values = stop_test(cap, cap.k0 + extra)
         assert stopped
         assert all(v <= cap.epsilon + 1e-9 for v in values)
+
+
+@pytest.mark.parametrize("name", [f"ex{i}" for i in range(1, 11)])
+def test_one_lp_per_output_row(name, monkeypatch):
+    # the band polyhedron is centrally symmetric, so each output row is
+    # maximized once and +row and -row record the same value
+    problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
+    original = gaincap.capacity.solve
+    calls = []
+
+    def counting_solve(lp_problem, *args, **kwargs):
+        calls.append(lp_problem)
+        return original(lp_problem, *args, **kwargs)
+
+    monkeypatch.setattr(gaincap.capacity, "solve", counting_solve)
+    loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {}
+    cap = determine(
+        problem.system, problem.gain, **loop,
+        max_iter=40, stop_tol=problem.options.stop_tol,
+    )
+    assert len(calls) == problem.system.p * len(cap.history)
+    for record in cap.history:
+        assert len(record.values) == 2 * problem.system.p
+        assert record.values[0::2] == record.values[1::2]
+
+
+def test_stop_test_rejects_negative_band():
+    cap = dataclasses.replace(determine(two_state(), two_state_gain()), epsilon=-0.5)
+    with pytest.raises(ValueError, match="origin is the start vertex"):
+        stop_test(cap, 1)
 
 
 def test_membership_symmetry_and_midpoints():

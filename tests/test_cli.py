@@ -318,6 +318,18 @@ def test_region_grid_validation(capsys):
     assert "--grid" in capsys.readouterr().err
 
 
+def test_region_rejects_non_finite_bounds(capsys):
+    for flag in ("--xmin", "--xmax", "--ymin", "--ymax"):
+        for bad in ("inf", "-inf", "nan"):
+            bounds = {"--xmin": "-2", "--xmax": "2", "--ymin": "-2", "--ymax": "2", flag: bad}
+            args = [f"{name}={value}" for name, value in bounds.items()]
+            code = main(["region", fixture("ex1"), *args, "--grid", "3"])
+            assert code == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "gaincap: error: " in captured.err and "finite" in captured.err
+
+
 def test_region_refuses_higher_dimensions(capsys):
     code = main([
         "region", fixture("ex5"),
@@ -390,6 +402,17 @@ def test_simulate_beta_validation(capsys):
     assert "components" in capsys.readouterr().err
     code = main(["simulate", fixture("ex1"), "--alpha", "1", "--beta", "a,b", "--steps", "1"])
     assert code == EXIT_INPUT
+
+
+def test_simulate_rejects_non_finite_numbers(capsys):
+    for alpha, beta in (("1", "nan,0"), ("1", "0,inf"), ("nan", "0,0"), ("-inf", "0,0")):
+        code = main(
+            ["simulate", fixture("ex1"), f"--alpha={alpha}", f"--beta={beta}", "--steps", "2"]
+        )
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gaincap: error: " in captured.err and "finite" in captured.err
 
 
 def test_usage_error_exit_code(capsys):
