@@ -34,7 +34,6 @@ from .linalg import (
     as_vector,
     controllability_matrix,
     induced_inf_norm,
-    observability_matrix,
     rank,
     spectral_radius,
 )
@@ -487,12 +486,14 @@ def analyze(
     controllable = None
     if sys.b is not None:
         controllable = rank(controllability_matrix(sys.a, sys.b)) == sys.n
-    observable = rank(observability_matrix(at, sys.c)) == sys.n
+    # horizon >= n, so the first n blocks form the observability matrix
+    rows = sensitivity_rows(sys, at, horizon)
+    observable = rank(rows[: sys.n * sys.p]) == sys.n
     radius = spectral_radius(at)
     norm = induced_inf_norm(at)
     decay_index = None
     if radius < 1.0:
-        blocks = sensitivity_rows(sys, at, horizon).reshape(int(horizon) + 1, sys.p, sys.n)
+        blocks = rows.reshape(int(horizon) + 1, sys.p, sys.n)
         norms = np.abs(blocks).sum(axis=2).max(axis=1)
         over = np.flatnonzero(norms > sys.epsilon)
         last = int(over[-1]) if over.size else -1

@@ -97,7 +97,7 @@ def _as_int(value, key: str) -> int:
 def _floats(data, key: str, kind: str) -> np.ndarray:
     try:
         return np.array(data, dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"field '{key}' is not a numeric {kind}: {err}") from None
 
 
@@ -122,7 +122,7 @@ def _stop_tol(value, name: str) -> float:
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
-        or not 0 <= value < math.inf
+        or not 0 <= value <= sys.float_info.max
     ):
         raise InputError(f"{name} must be a nonnegative finite number")
     return float(value)
@@ -167,8 +167,8 @@ def parse_problem(data: dict) -> Problem:
     epsilon = _require(data, "epsilon")
     if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
         raise InputError("field 'epsilon' must be a number")
-    if not math.isfinite(float(epsilon)) or float(epsilon) <= 0:
-        raise InputError("field 'epsilon' must be strictly positive")
+    if not 0 < epsilon <= sys.float_info.max:
+        raise InputError("field 'epsilon' must be a positive finite number")
 
     gain = None
     if data.get("K") is not None:

@@ -14,7 +14,6 @@ __all__ = [
     "as_vector",
     "rank",
     "controllability_matrix",
-    "observability_matrix",
     "spectral_radius",
     "induced_inf_norm",
 ]
@@ -70,24 +69,6 @@ def controllability_matrix(a, b) -> np.ndarray:
     for _ in range(n - 1):
         blocks.append(a @ blocks[-1])
     out = np.hstack(blocks)
-    out.setflags(write=False)
-    return out
-
-
-def observability_matrix(a_tilde, c) -> np.ndarray:
-    """Stack [C; C*At; ...; C*At^(n-1)] by repeated row propagation."""
-    a_tilde = as_matrix(a_tilde, "closed-loop matrix")
-    c = as_matrix(c, "output matrix")
-    _require_square(a_tilde, "closed-loop matrix")
-    n = a_tilde.shape[0]
-    if c.shape[1] != n:
-        raise ValueError(
-            f"output matrix has {c.shape[1]} columns, closed-loop matrix is {n}x{n}"
-        )
-    blocks = [np.array(c)]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ a_tilde)
-    out = np.vstack(blocks)
     out.setflags(write=False)
     return out
 

@@ -5,11 +5,17 @@ h >= 0 so that the origin is feasible.  Every LP of the fixpoint search has
 that form (the band is ``|row . x| <= epsilon`` with epsilon > 0), so the
 all-slack basis at the origin is the start vertex and no phase 1 is needed.
 Internally each free variable is split into a difference of two nonnegative
-variables and one slack is appended per constraint.  Bland's anti-cycling
-rule picks the entering and leaving variables, so the iteration count is
-finite; a hard budget of ``50 * (variables + constraints)`` pivots guards
-against numerical stalls and raises :class:`SimplexBudgetError` when
-exceeded.
+variables and one slack is appended per constraint.
+
+All simplex state lives in one textbook tableau: the constraint rows
+``[G | -G | I | h]`` sit over the reduced-cost row, and the right-hand side
+is the last column.  Each pivot updates all of it at once.  Bland's
+anti-cycling rule is two array scans: the entering column is the first one
+whose reduced cost is positive, and the leaving row is, among the ratio-test
+ties, the one whose basic variable has the lowest index.  The iteration
+count is therefore finite; a hard budget of ``50 * (variables +
+constraints)`` pivots guards against numerical stalls and raises
+:class:`SimplexBudgetError` when exceeded.
 
 Rows of [G | h] and the objective are equilibrated (scaled by their largest
 absolute coefficient) before the tableau is built.  That is exactly
@@ -20,6 +26,7 @@ reported value is recomputed from the caller's own data.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,60 +89,20 @@ class LpOutcome:
     value: float | None = None
 
 
-def _pivot(tab: np.ndarray, rhs: np.ndarray, row: int, col: int) -> None:
-    piv = tab[row, col]
-    tab[row] /= piv
-    rhs[row] /= piv
+def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Make column ``col`` basic in constraint row ``row``.
+
+    One rank-one update moves the whole tableau: the constraint rows, the
+    right-hand-side column and the reduced-cost row alike.  The pivot
+    column is then written as an exact unit vector, so every basic column,
+    and its reduced cost, stays exactly 0 or 1.
+    """
+    tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
     tab -= np.outer(factors, tab[row])
     tab[:, col] = 0.0
     tab[row, col] = 1.0
-    rhs -= factors * rhs[row]
-
-
-def _iterate(
-    tab: np.ndarray,
-    rhs: np.ndarray,
-    obj: np.ndarray,
-    basis: list[int],
-    budget: int,
-) -> str:
-    """Run primal simplex sweeps on (tab, rhs) in place until optimal or
-    unbounded.  Bland's rule: the entering column is the lowest-index one with
-    positive reduced cost, the leaving row breaks ratio ties by lowest basis
-    index."""
-    nrows, ncols = tab.shape
-    used = 0
-    while True:
-        reduced = obj - obj[basis] @ tab
-        reduced[basis] = 0.0
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] > PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return OPTIMAL
-        col = tab[:, entering]
-        positive = col > PIVOT_TOL
-        if not positive.any():
-            return UNBOUNDED
-        ratios = np.where(positive, np.maximum(rhs, 0.0) / np.where(positive, col, 1.0), np.inf)
-        best = float(np.min(ratios))
-        leaving = -1
-        for i in range(nrows):
-            if ratios[i] <= best + 1e-12 * (1.0 + best) and (
-                leaving < 0 or basis[i] < basis[leaving]
-            ):
-                leaving = i
-        if used >= budget:
-            raise SimplexBudgetError(
-                f"pivot budget of {budget} exhausted ({nrows} constraints)"
-            )
-        used += 1
-        _pivot(tab, rhs, leaving, entering)
-        basis[leaving] = entering
 
 
 def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
@@ -154,21 +121,41 @@ def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
     row_scale = np.max(np.abs(problem.g), axis=1)
     row_scale[row_scale == 0.0] = 1.0
     g = problem.g / row_scale[:, None]
-    rhs = problem.h / row_scale
+    h = problem.h / row_scale
     obj_scale = float(np.max(np.abs(c)))
     if obj_scale == 0.0:
         obj_scale = 1.0
     c_s = c / obj_scale
 
-    # split free variables, append slacks; the all-slack basis is the origin
-    tab = np.hstack([g, -g, np.eye(r)])
-    obj = np.concatenate([c_s, -c_s, np.zeros(r)])
-    basis = [2 * n + i for i in range(r)]
+    # split free variables, append slacks; the all-slack basis is the origin,
+    # where the reduced costs are the scaled objective itself
+    tab = np.vstack(
+        [np.hstack([g, -g, np.eye(r), h[:, None]]), np.concatenate([c_s, -c_s, np.zeros(r + 1)])]
+    )
+    basis = np.arange(2 * n, 2 * n + r)
 
-    if _iterate(tab, rhs, obj, basis, budget) == UNBOUNDED:
-        return LpOutcome(UNBOUNDED)
-    x_split = np.zeros(tab.shape[1])
-    x_split[basis] = rhs
+    for pivots in itertools.count():
+        improving = np.flatnonzero(tab[-1, :-1] > PIVOT_TOL)
+        if improving.size == 0:
+            break
+        col = improving[0]
+        column = tab[:-1, col]
+        positive = column > PIVOT_TOL
+        if not positive.any():
+            return LpOutcome(UNBOUNDED)
+        ratios = np.where(
+            positive, np.maximum(tab[:-1, -1], 0.0) / np.where(positive, column, 1.0), np.inf
+        )
+        best = float(np.min(ratios))
+        ties = ratios <= best + 1e-12 * (1.0 + best)
+        row = int(np.argmin(np.where(ties, basis, tab.shape[1])))
+        if pivots >= budget:
+            raise SimplexBudgetError(f"pivot budget of {budget} exhausted ({r} constraints)")
+        _pivot(tab, row, col)
+        basis[row] = col
+
+    x_split = np.zeros(tab.shape[1] - 1)
+    x_split[basis] = tab[:-1, -1]
     x = x_split[:n] - x_split[n : 2 * n]
     x.setflags(write=False)
     return LpOutcome(OPTIMAL, point=x, value=float(c @ x))

@@ -314,6 +314,11 @@ def test_analyze_without_input_map():
     assert rep.controllable is None
     assert not rep.structural_guarantee  # cannot be certified without b
     assert rep.observable
+    # two outputs: C and the first row of C A~ miss e3, the second row of
+    # C A~ is e3, so the rank must be taken over all n blocks of p rows
+    shift = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    sys3 = SystemSpec(shift, None, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0] * 3, 1.0)
+    assert analyze(sys3, a_tilde=shift).observable
 
 
 def test_analyze_decay_index_matches_block_loop():

@@ -75,6 +75,10 @@ def test_nonpositive_epsilon_names_field():
     data["epsilon"] = -1.0
     with pytest.raises(InputError, match="epsilon"):
         parse_problem(data)
+    # json.load reads integer digits exactly, beyond the range of a float
+    data["epsilon"] = 10**400
+    with pytest.raises(InputError, match="epsilon"):
+        parse_problem(data)
 
 
 def test_dimension_mismatch():
@@ -83,9 +87,10 @@ def test_dimension_mismatch():
     with pytest.raises(InputError, match="'C'"):
         parse_problem(data)
     data = load_fixture_dict("ex1")
-    data["tau0"] = ["x", 1]
-    with pytest.raises(InputError, match="'tau0'"):
-        parse_problem(data)
+    for bad in (["x", 1], [10**400, 1]):
+        data["tau0"] = bad
+        with pytest.raises(InputError, match="'tau0'"):
+            parse_problem(data)
 
 
 def test_gain_requires_input_map():
@@ -120,7 +125,7 @@ def test_bad_options():
         parse_problem(data)
     # json.load accepts Infinity and NaN; an infinite tolerance would
     # certify any loop at k0 = 0
-    for bad in (math.inf, math.nan, True, -1.0):
+    for bad in (math.inf, math.nan, True, -1.0, 10**400):
         data["options"] = {"stop_tol": bad}
         with pytest.raises(InputError, match="stop_tol"):
             parse_problem(data)
@@ -188,6 +193,16 @@ def test_check_gain_bad_stop_tol_flag(capsys):
     code = main(["check-gain", fixture("ex1"), "--stop-tol", "-1"])
     assert code == EXIT_INPUT
     assert "gaincap: error: --stop-tol" in capsys.readouterr().err
+
+
+def test_determine_oversized_integer_entry(tmp_path, capsys):
+    data = load_fixture_dict("ex1")
+    data["A"][0][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["determine", str(path)])
+    assert code == EXIT_INPUT
+    assert "gaincap: error: field 'A'" in capsys.readouterr().err
 
 
 def test_determine_missing_file(capsys):

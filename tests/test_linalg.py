@@ -6,7 +6,6 @@ from gaincap.linalg import (
     as_vector,
     controllability_matrix,
     induced_inf_norm,
-    observability_matrix,
     rank,
     spectral_radius,
 )
@@ -67,16 +66,6 @@ def test_controllability_matrix_frozen():
     expected = [[-1.5, 2.0, -1.35, 1.8], [1.0, -3.0, -0.6, 0.3]]
     assert got.shape == (2, 4)
     assert np.allclose(got, expected)
-
-
-def test_observability_matrix_frozen():
-    a = [[0.9, 0.0], [0.2, 0.1]]
-    c = [[1.0, 1.0]]
-    got = observability_matrix(a, c)
-    # rows are c, c a, c a^2, ...
-    assert got.shape == (2, 2)
-    assert np.allclose(got[0], [1.0, 1.0])
-    assert np.allclose(got[1], [1.1, 0.1])
 
 
 def test_spectral_radius_frozen_cases():

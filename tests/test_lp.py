@@ -57,8 +57,12 @@ def test_capacity_style_value():
 
 
 def test_budget_error():
-    with pytest.raises(SimplexBudgetError):
-        solve(LpProblem([1.0, 1.0], BOX.g, BOX.h), iteration_budget=1)
+    # the optimum of [1, 1] on the box takes exactly two pivots
+    corner = LpProblem([1.0, 1.0], BOX.g, BOX.h)
+    for budget in (-1, 0, 1):
+        with pytest.raises(SimplexBudgetError, match=f"pivot budget of {budget} exhausted"):
+            solve(corner, iteration_budget=budget)
+    assert solve(corner, iteration_budget=2).value == 2.0
 
 
 def test_returned_point_is_feasible():
