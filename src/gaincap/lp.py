@@ -7,14 +7,18 @@ all-slack basis at the origin is the start vertex and no phase 1 is needed.
 Internally each free variable is split into a difference of two nonnegative
 variables and one slack is appended per constraint.
 
-All simplex state lives in one textbook tableau: the constraint rows
-``[G | -G | I | h]`` sit over the reduced-cost row, and the right-hand side
-is the last column.  Each pivot updates all of it at once.  Bland's
-anti-cycling rule is two array scans: the entering column is the first one
-whose reduced cost is positive, and the leaving row is, among the ratio-test
-ties, the one whose basic variable has the lowest index.  The iteration
-count is therefore finite; a hard budget of ``50 * (variables +
-constraints)`` pivots guards against numerical stalls and raises
+All simplex state lives in one compact tableau that keeps only the
+nonbasic columns.  At the origin it is ``[G | -G | h]`` over the
+reduced-cost row ``[c | -c | 0]``, with the right-hand side as the last
+column, and the label arrays ``basis`` and ``nonbasic`` name the variable
+of each row and of each column.  A pivot swaps two labels and writes the
+leaving variable's column where the entering one stood, so the unit
+columns of the basic variables are never stored.  Bland's anti-cycling
+rule is two array scans: the entering column is the improving one with
+the smallest label, and the leaving row is, among the ratio-test ties, the
+one whose basic variable has the smallest label.  The iteration count is
+therefore finite; a hard budget of ``50 * (variables + constraints)``
+pivots guards against numerical stalls and raises
 :class:`SimplexBudgetError` when exceeded.
 
 Rows of [G | h] and the objective are equilibrated (scaled by their largest
@@ -82,27 +86,32 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Result of :func:`solve`; point/value are set only when optimal."""
+    """Result of :func:`solve`; point/value are set only when optimal, and
+    ``pivots`` counts the pivots taken on either outcome."""
 
     status: str
     point: np.ndarray | None = None
     value: float | None = None
+    pivots: int = 0
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
-    """Make column ``col`` basic in constraint row ``row``.
+    """Exchange the basic variable of constraint row ``row`` with the
+    nonbasic variable of column ``col``.
 
-    One rank-one update moves the whole tableau: the constraint rows, the
-    right-hand-side column and the reduced-cost row alike.  The pivot
-    column is then written as an exact unit vector, so every basic column,
-    and its reduced cost, stays exactly 0 or 1.
+    The column is first overwritten by the leaving variable's unit column,
+    so one rank-one update moves the whole tableau (the constraint rows,
+    the right-hand-side column and the reduced-cost row alike) and writes
+    the leaving column as the full tableau would: ``1 / pivot`` in the
+    pivot row and ``-factor / pivot`` elsewhere.
     """
-    tab[row] /= tab[row, col]
+    pivot = tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
     tab[:, col] = 0.0
     tab[row, col] = 1.0
+    tab[row] /= pivot
+    tab -= np.outer(factors, tab[row])
 
 
 def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
@@ -127,35 +136,34 @@ def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
         obj_scale = 1.0
     c_s = c / obj_scale
 
-    # split free variables, append slacks; the all-slack basis is the origin,
-    # where the reduced costs are the scaled objective itself
-    tab = np.vstack(
-        [np.hstack([g, -g, np.eye(r), h[:, None]]), np.concatenate([c_s, -c_s, np.zeros(r + 1)])]
-    )
+    # split free variables; the slacks start basic at the origin, where the
+    # reduced costs are the scaled objective itself
+    tab = np.vstack([np.hstack([g, -g, h[:, None]]), np.concatenate([c_s, -c_s, [0.0]])])
     basis = np.arange(2 * n, 2 * n + r)
+    nonbasic = np.arange(2 * n)
 
     for pivots in itertools.count():
-        improving = np.flatnonzero(tab[-1, :-1] > PIVOT_TOL)
-        if improving.size == 0:
+        improving = tab[-1, :-1] > PIVOT_TOL
+        if not improving.any():
             break
-        col = improving[0]
+        col = int(np.argmin(np.where(improving, nonbasic, 2 * n + r)))
         column = tab[:-1, col]
         positive = column > PIVOT_TOL
         if not positive.any():
-            return LpOutcome(UNBOUNDED)
+            return LpOutcome(UNBOUNDED, pivots=pivots)
         ratios = np.where(
             positive, np.maximum(tab[:-1, -1], 0.0) / np.where(positive, column, 1.0), np.inf
         )
         best = float(np.min(ratios))
         ties = ratios <= best + 1e-12 * (1.0 + best)
-        row = int(np.argmin(np.where(ties, basis, tab.shape[1])))
+        row = int(np.argmin(np.where(ties, basis, 2 * n + r)))
         if pivots >= budget:
             raise SimplexBudgetError(f"pivot budget of {budget} exhausted ({r} constraints)")
         _pivot(tab, row, col)
-        basis[row] = col
+        basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
-    x_split = np.zeros(tab.shape[1] - 1)
+    x_split = np.zeros(2 * n + r)
     x_split[basis] = tab[:-1, -1]
     x = x_split[:n] - x_split[n : 2 * n]
     x.setflags(write=False)
-    return LpOutcome(OPTIMAL, point=x, value=float(c @ x))
+    return LpOutcome(OPTIMAL, point=x, value=float(c @ x), pivots=pivots)
