@@ -13,13 +13,16 @@ reduced-cost row ``[c | -c | 0]``, with the right-hand side as the last
 column, and the label arrays ``basis`` and ``nonbasic`` name the variable
 of each row and of each column.  A pivot swaps two labels and writes the
 leaving variable's column where the entering one stood, so the unit
-columns of the basic variables are never stored.  Bland's anti-cycling
-rule is two array scans: the entering column is the improving one with
-the smallest label, and the leaving row is, among the ratio-test ties, the
-one whose basic variable has the smallest label.  The iteration count is
-therefore finite; a hard budget of ``50 * (variables + constraints)``
-pivots guards against numerical stalls and raises
-:class:`SimplexBudgetError` when exceeded.
+columns of the basic variables are never stored.
+
+The entering column is Dantzig's: the one with the largest reduced cost.
+The leaving row is, among the ratio-test ties, the one whose basic
+variable has the smallest label.  Dantzig's rule can cycle on a degenerate
+vertex, so after half the pivot budget the entering scan switches to
+Bland's rule (the improving column with the smallest label), which with
+that leaving rule never cycles.  The iteration count is therefore finite;
+a hard budget of ``50 * (variables + constraints)`` pivots guards against
+numerical stalls and raises :class:`SimplexBudgetError` when exceeded.
 
 Rows of [G | h] and the objective are equilibrated (scaled by their largest
 absolute coefficient) before the tableau is built.  That is exactly
@@ -143,10 +146,14 @@ def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
     nonbasic = np.arange(2 * n)
 
     for pivots in itertools.count():
-        improving = tab[-1, :-1] > PIVOT_TOL
+        reduced = tab[-1, :-1]
+        improving = reduced > PIVOT_TOL
         if not improving.any():
             break
-        col = int(np.argmin(np.where(improving, nonbasic, 2 * n + r)))
+        if pivots < budget // 2:
+            col = int(np.argmax(reduced))
+        else:
+            col = int(np.argmin(np.where(improving, nonbasic, 2 * n + r)))
         column = tab[:-1, col]
         positive = column > PIVOT_TOL
         if not positive.any():
