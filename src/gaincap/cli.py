@@ -224,6 +224,8 @@ def load_problem(path: str) -> Problem:
             data = json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read problem file: {err}") from None
+    except UnicodeDecodeError as err:
+        raise InputError(f"problem file is not UTF-8 text: {err}") from None
     except json.JSONDecodeError as err:
         raise InputError(f"problem file is not valid JSON: {err}") from None
     return parse_problem(data)
@@ -493,8 +495,11 @@ def cmd_region(args) -> int:
                 lines.append(f"{_fmt(x)},{_fmt(y)},{int(raster[iy, ix])}")
         print("\n".join(lines))
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg(raster, xs, ys, problem.system.tau0))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(_svg(raster, xs, ys, problem.system.tau0))
+        except OSError as err:
+            raise InputError(f"cannot write SVG file: {err}") from None
     return EXIT_OK if cap.status == DETERMINED else EXIT_LIMIT
 
 

@@ -454,6 +454,29 @@ def test_one_lp_per_output_row(name, monkeypatch):
         assert record.values[0::2] == record.values[1::2]
 
 
+def test_determine_pivot_count_tripwire(monkeypatch):
+    # a slow-converging loop rho * Q (Q orthogonal) stops at k0 = 47 after
+    # 48 steps of 2 LPs each; the pinned pivot total catches a change of
+    # pricing rule or tableau arithmetic that the k0 alone would not show
+    rng = np.random.default_rng(0)
+    q, r = np.linalg.qr(rng.standard_normal((8, 8)))
+    a_tilde = 0.99 * q * np.sign(np.diag(r))
+    c = rng.standard_normal((2, 8))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    original = gaincap.capacity.solve
+    pivots = []
+
+    def counting_solve(lp_problem, *args, **kwargs):
+        outcome = original(lp_problem, *args, **kwargs)
+        pivots.append(outcome.pivots)
+        return outcome
+
+    monkeypatch.setattr(gaincap.capacity, "solve", counting_solve)
+    cap = determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
+    assert (cap.k0, cap.status, len(pivots)) == (47, DETERMINED, 96)
+    assert sum(pivots) == 1281
+
+
 def test_stop_test_rejects_negative_band():
     cap = dataclasses.replace(determine(two_state(), two_state_gain()), epsilon=-0.5)
     with pytest.raises(ValueError, match="origin is the start vertex"):

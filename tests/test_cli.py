@@ -211,6 +211,14 @@ def test_determine_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_determine_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"n": 1, "note": "caf\u00e9"}'.encode("latin-1"))
+    code = main(["determine", str(path)])
+    assert code == EXIT_INPUT
+    assert "gaincap: error: problem file is not UTF-8" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- check-gain
 
 
@@ -322,6 +330,18 @@ def test_region_svg(tmp_path, capsys):
     assert text.startswith("<svg")
     assert "tau0" in text and "e1" in text and "e2" in text
     assert "<script" not in text
+
+
+def test_region_svg_unwritable_path(tmp_path, capsys):
+    svg_path = tmp_path / "missing-dir" / "region.svg"
+    code = main([
+        "region", fixture("ex1"),
+        "--xmin", "-2", "--xmax", "2", "--ymin", "-2", "--ymax", "2",
+        "--grid", "3", "--svg", str(svg_path),
+    ])
+    assert code == EXIT_INPUT
+    assert "gaincap: error: cannot write SVG file" in capsys.readouterr().err
+    assert not svg_path.exists()
 
 
 def test_region_grid_validation(capsys):

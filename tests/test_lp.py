@@ -9,7 +9,7 @@ from gaincap.lp import (
     SimplexBudgetError,
     solve,
 )
-from oracles import polygon_maximize
+from oracles import exact_maximize, polygon_maximize
 
 BOX = LpProblem([1.0, 0.0], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
 
@@ -40,6 +40,10 @@ def test_unbounded():
     out = solve(LpProblem([1.0, 0.0], [[0, 1]], [1.0]))
     assert out.status == UNBOUNDED
     assert out.point is None and out.value is None
+    assert out.pivots == 0
+    # x1 enters first (largest reduced cost) and reaches its bound; then x0
+    # has no bound
+    assert solve(LpProblem([0.5, 1.0], [[0, 1]], [1.0])) == LpOutcome(UNBOUNDED, pivots=1)
 
 
 def test_capacity_style_value():
@@ -63,6 +67,89 @@ def test_budget_error():
         with pytest.raises(SimplexBudgetError, match=f"pivot budget of {budget} exhausted"):
             solve(corner, iteration_budget=budget)
     assert solve(corner, iteration_budget=2).value == 2.0
+    assert solve(corner).pivots == 2
+
+
+# Beale's (1955) and Chvatal's (1983) examples, on which the largest-
+# coefficient entering rule cycles in standard form; x >= 0 is written as
+# explicit rows -x <= 0, which makes the origin a highly degenerate vertex
+CYCLING = [
+    (
+        [0.75, -150.0, 0.02, -6.0],
+        [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        0.05,
+    ),
+    (
+        [10.0, -57.0, -9.0, -24.0],
+        [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]],
+        1.0,
+    ),
+]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("objective, rows, optimum", CYCLING)
+def test_cycling_examples(objective, rows, optimum, reverse):
+    g = np.vstack([rows, -np.eye(4)])
+    h = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    if reverse:
+        g, h = g[::-1], h[::-1]
+    out = solve(LpProblem(objective, g, h))
+    assert out.status == OPTIMAL
+    assert out.value == pytest.approx(optimum, abs=1e-12)
+    # a small budget hands the rest of the path to Bland's rule part way:
+    # the answer is the optimum or a budget error, never a wrong vertex
+    for budget in range(6, 30):
+        try:
+            assert solve(LpProblem(objective, g, h), budget).value == pytest.approx(optimum)
+        except SimplexBudgetError:
+            pass
+
+
+def test_dantzig_cycle_falls_back_to_bland():
+    # on this cone (all bounds 0, optimum 0 at the origin) the largest
+    # reduced cost leads round a cycle of degenerate pivots; Bland's rule
+    # takes over after half the budget of 50 * (4 + 7) and stops 3 pivots
+    # later
+    g = np.vstack(
+        [[[-2.0, -9.0, 0.25, 0.25], [1.0, 9.0, 0.25, 1.0], [0.25, -0.5, -3.0, 0.5]], -np.eye(4)]
+    )
+    out = solve(LpProblem([-0.5, -9.0, -9.0, 1.0], g, np.zeros(7)))
+    assert (out.status, out.value, out.pivots) == (OPTIMAL, 0.0, 275 + 3)
+
+
+def random_lps(seed, count):
+    """Gaussian, degenerate integer and symmetric band ``[S; -S]`` LPs in
+    turn, with 3 to 6 variables."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(3, 7))
+        if i % 3 == 0:
+            g = rng.normal(size=(int(rng.integers(n, 3 * n)), n))
+            h = np.abs(rng.normal(size=g.shape[0]))
+            c = rng.normal(size=n)
+        elif i % 3 == 1:
+            g = rng.integers(-2, 3, size=(int(rng.integers(n, 3 * n)), n)).astype(float)
+            h = rng.integers(0, 3, size=g.shape[0]).astype(float)
+            c = rng.integers(-2, 3, size=n).astype(float)
+        else:
+            band = rng.integers(-3, 4, size=(int(rng.integers(2, 2 * n)), n)).astype(float)
+            g = np.vstack([band, -band])
+            h = np.ones(g.shape[0])
+            c = rng.integers(-3, 4, size=n).astype(float)
+        yield c, g, h
+
+
+def test_matches_exact_oracle():
+    statuses = set()
+    for c, g, h in random_lps(6, 210):
+        out = solve(LpProblem(c, g, h))
+        status, value = exact_maximize(c, g, h)
+        assert out.status == status
+        statuses.add(status)
+        if status == OPTIMAL:
+            assert out.value == pytest.approx(float(value), rel=1e-9, abs=1e-9)
+    assert statuses == {OPTIMAL, UNBOUNDED}
 
 
 def test_returned_point_is_feasible():
