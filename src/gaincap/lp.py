@@ -99,8 +99,9 @@ class LpOutcome:
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
-    """Exchange the basic variable of constraint row ``row`` with the
-    nonbasic variable of column ``col``.
+    """Pivot on ``(row, col)``: the variable of column ``col`` enters the
+    basis in constraint row ``row``, and the leaving variable takes over
+    column ``col`` (the caller swaps the two labels).
 
     The column is first overwritten by the leaving variable's unit column,
     so one rank-one update moves the whole tableau (the constraint rows,
@@ -150,6 +151,7 @@ def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
         improving = reduced > PIVOT_TOL
         if not improving.any():
             break
+        # Dantzig's rule, then Bland's for the second half of the budget
         if pivots < budget // 2:
             col = int(np.argmax(reduced))
         else:
