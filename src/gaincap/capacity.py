@@ -532,6 +532,8 @@ def simulate(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be a finite number")
     states = np.empty((int(steps) + 1, sys.n))
     states[0] = alpha * sys.tau0 + beta
     for i in range(int(steps)):
@@ -563,6 +565,8 @@ def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
         raise ValueError("grid must be at least 2")
     x_lo, x_hi = (float(x_range[0]), float(x_range[1]))
     y_lo, y_hi = (float(y_range[0]), float(y_range[1]))
+    if not np.all(np.isfinite([x_lo, x_hi, y_lo, y_hi])):
+        raise ValueError("ranges must have finite bounds")
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("ranges must be nonempty intervals")
     xs = np.linspace(x_lo, x_hi, int(grid))

@@ -82,6 +82,12 @@ def _fmt(value: float) -> str:
     return "%.17g" % float(value)
 
 
+def _csv(header: list[str], rows) -> None:
+    """Stream a CSV table to stdout, one line per row as it is formatted."""
+    sys.stdout.write(",".join(header) + "\n")
+    sys.stdout.writelines(",".join(row) + "\n" for row in rows)
+
+
 def _require(data: dict, key: str):
     if key not in data:
         raise InputError(f"problem file is missing required field '{key}'")
@@ -415,49 +421,45 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _svg(raster: np.ndarray, xs: np.ndarray, ys: np.ndarray, tau0: np.ndarray) -> str:
-    """Self-contained SVG: member cells filled, key vectors marked."""
+def _svg(raster: np.ndarray, xs: np.ndarray, ys: np.ndarray, tau0: np.ndarray):
+    """Self-contained SVG, line by line: member cells filled, key vectors marked."""
     size = 640.0
     margin = 40.0
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     y_lo, y_hi = float(ys[0]), float(ys[-1])
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        px = margin + (x - x_lo) / (x_hi - x_lo) * size
-        py = margin + (y_hi - y) / (y_hi - y_lo) * size
-        return px, py
+    def px(x: float) -> float:
+        return margin + (x - x_lo) / (x_hi - x_lo) * size
 
-    grid = len(xs)
-    cell_w = size / (grid - 1)
-    cell_h = size / (grid - 1)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size + 2 * margin:.0f}" '
-        f'height="{size + 2 * margin:.0f}" '
-        f'viewBox="0 0 {size + 2 * margin:.0f} {size + 2 * margin:.0f}">',
-        f'<rect x="0" y="0" width="{size + 2 * margin:.0f}" '
-        f'height="{size + 2 * margin:.0f}" fill="white"/>',
+    def py(y: float) -> float:
+        return margin + (y_hi - y) / (y_hi - y_lo) * size
+
+    cell = size / (len(xs) - 1)
+    full = f"{size + 2 * margin:.0f}"
+    yield from (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{full}" height="{full}" '
+        f'viewBox="0 0 {full} {full}">',
+        f'<rect x="0" y="0" width="{full}" height="{full}" fill="white"/>',
         f'<rect x="{margin}" y="{margin}" width="{size}" height="{size}" '
         'fill="none" stroke="#888"/>',
-    ]
-    for iy in range(grid):
-        for ix in range(grid):
-            if raster[iy, ix]:
-                px, py = to_px(float(xs[ix]), float(ys[iy]))
-                parts.append(
-                    f'<rect x="{px - cell_w / 2:.2f}" y="{py - cell_h / 2:.2f}" '
-                    f'width="{cell_w:.2f}" height="{cell_h:.2f}" fill="#7fbf7f"/>'
-                )
+    )
+    # cell corners in pixels, formatted once per column and once per row
+    x_text = [f"{px(x) - cell / 2:.2f}" for x in xs.tolist()]
+    y_text = [f"{py(y) - cell / 2:.2f}" for y in ys.tolist()]
+    size_text = f'width="{cell:.2f}" height="{cell:.2f}" fill="#7fbf7f"/>'
+    for y, row in zip(y_text, raster):
+        for ix in np.flatnonzero(row).tolist():
+            yield f'<rect x="{x_text[ix]}" y="{y}" {size_text}'
     markers = [("tau0", float(tau0[0]), float(tau0[1])), ("e1", 1.0, 0.0), ("e2", 0.0, 1.0)]
     for label, mx, my in markers:
         if x_lo <= mx <= x_hi and y_lo <= my <= y_hi:
-            px, py = to_px(mx, my)
-            parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="#222"/>')
-            parts.append(
-                f'<text x="{px + 6:.2f}" y="{py - 6:.2f}" font-size="14" '
+            cx, cy = px(mx), py(my)
+            yield f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="#222"/>'
+            yield (
+                f'<text x="{cx + 6:.2f}" y="{cy - 6:.2f}" font-size="14" '
                 f'font-family="sans-serif" fill="#222">{label}</text>'
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "</svg>"
 
 
 def cmd_region(args) -> int:
@@ -489,15 +491,21 @@ def cmd_region(args) -> int:
             )
         )
     else:
-        lines = ["x,y,inside"]
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                lines.append(f"{_fmt(x)},{_fmt(y)},{int(raster[iy, ix])}")
-        print("\n".join(lines))
+        x_text = [_fmt(x) for x in xs.tolist()]
+        y_text = [_fmt(y) for y in ys.tolist()]
+        _csv(
+            ["x", "y", "inside"],
+            (
+                (x, y, "1" if inside else "0")
+                for y, row in zip(y_text, raster)
+                for x, inside in zip(x_text, row.tolist())
+            ),
+        )
     if args.svg:
+        svg = _svg(raster, xs, ys, problem.system.tau0)
         try:
             with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(_svg(raster, xs, ys, problem.system.tau0))
+                fh.writelines(line + "\n" for line in svg)
         except OSError as err:
             raise InputError(f"cannot write SVG file: {err}") from None
     return EXIT_OK if cap.status == DETERMINED else EXIT_LIMIT
@@ -519,7 +527,6 @@ def cmd_simulate(args) -> int:
     traj = simulate(
         problem.system, **_loop(problem), alpha=args.alpha, beta=beta, steps=args.steps
     )
-    p = problem.system.p
     if args.json:
         print(
             json.dumps(
@@ -532,18 +539,13 @@ def cmd_simulate(args) -> int:
             )
         )
         return EXIT_OK
-    header = ["step"] + [f"x{i + 1}" for i in range(n)]
-    if traj.inputs is not None:
-        header += [f"u{i + 1}" for i in range(traj.inputs.shape[1])]
-    header += [f"y{i + 1}" for i in range(p)]
-    lines = [",".join(header)]
-    for i in range(traj.states.shape[0]):
-        row = [str(i)] + [_fmt(v) for v in traj.states[i]]
-        if traj.inputs is not None:
-            row += [_fmt(v) for v in traj.inputs[i]]
-        row += [_fmt(v) for v in traj.outputs[i]]
-        lines.append(",".join(row))
-    print("\n".join(lines))
+    blocks = [("x", traj.states), ("u", traj.inputs), ("y", traj.outputs)]
+    blocks = [(name, values) for name, values in blocks if values is not None]
+    table = np.hstack([values for _, values in blocks])
+    _csv(
+        ["step"] + [f"{name}{i + 1}" for name, values in blocks for i in range(values.shape[1])],
+        ([str(i), *map(_fmt, row.tolist())] for i, row in enumerate(table)),
+    )
     return EXIT_OK
 
 
@@ -556,15 +558,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _add_common(sub):
+def _add_command(commands, name: str, func, summary: str, *, limits: bool):
+    """Register a subcommand that reads a problem file and takes --json.  With
+    ``limits`` it also takes --max-iter and --stop-tol, which only the
+    commands that run the fixpoint search read."""
+    sub = commands.add_parser(name, help=summary)
     sub.add_argument("file", help="problem file (JSON)")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub.add_argument(
-        "--max-iter", type=int, default=None, help="override the file's iteration cap"
-    )
-    sub.add_argument(
-        "--stop-tol", type=float, default=None, help="override the file's stop tolerance"
-    )
+    if limits:
+        sub.add_argument(
+            "--max-iter", type=int, default=None, help="override the file's iteration cap"
+        )
+        sub.add_argument(
+            "--stop-tol", type=float, default=None, help="override the file's stop tolerance"
+        )
+    sub.set_defaults(func=func)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,36 +582,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Capacity sets of state-feedback gains under output bands.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    _add_command(commands, "determine", cmd_determine, "run the fixpoint search", limits=True)
+    _add_command(commands, "check-gain", cmd_check_gain, "decide gain admissibility", limits=True)
+    _add_command(commands, "analyze", cmd_analyze, "structural precondition report", limits=False)
 
-    det = commands.add_parser("determine", help="run the fixpoint search")
-    _add_common(det)
-    det.set_defaults(func=cmd_determine)
-
-    chk = commands.add_parser("check-gain", help="decide gain admissibility")
-    _add_common(chk)
-    chk.set_defaults(func=cmd_check_gain)
-
-    ana = commands.add_parser("analyze", help="structural precondition report")
-    _add_common(ana)
-    ana.set_defaults(func=cmd_analyze)
-
-    reg = commands.add_parser("region", help="rasterize a planar capacity set")
-    _add_common(reg)
+    reg = _add_command(
+        commands, "region", cmd_region, "rasterize a planar capacity set", limits=True
+    )
     reg.add_argument("--xmin", type=float, required=True)
     reg.add_argument("--xmax", type=float, required=True)
     reg.add_argument("--ymin", type=float, required=True)
     reg.add_argument("--ymax", type=float, required=True)
     reg.add_argument("--grid", type=int, required=True, help="lattice points per axis")
     reg.add_argument("--svg", default=None, help="also write an SVG to this path")
-    reg.set_defaults(func=cmd_region)
 
-    sim = commands.add_parser("simulate", help="propagate a disturbed start")
-    _add_common(sim)
+    sim = _add_command(
+        commands, "simulate", cmd_simulate, "propagate a disturbed start", limits=False
+    )
     sim.add_argument("--alpha", type=float, required=True, help="nominal-state scale")
     sim.add_argument("--beta", required=True, help="comma-separated offset components")
     sim.add_argument("--steps", type=int, required=True, help="number of steps")
-    sim.set_defaults(func=cmd_simulate)
-
     return parser
 
 

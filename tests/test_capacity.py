@@ -391,6 +391,12 @@ def test_simulate_without_gain_has_no_inputs():
     assert traj.states.shape == (3, 2)
 
 
+def test_simulate_rejects_non_finite_alpha():
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            simulate(two_state(), two_state_gain(), alpha=alpha, beta=[0.0, 0.0], steps=2)
+
+
 def test_region_sample_orientation():
     cap = determine(two_state(), two_state_gain())
     raster = region_sample(cap, (-2.0, 2.0), (-2.0, 2.0), 3)
@@ -416,6 +422,10 @@ def test_region_sample_validation():
         region_sample(cap, (-1.0, 1.0), (-1.0, 1.0), 1)
     with pytest.raises(ValueError, match="nonempty"):
         region_sample(cap, (1.0, -1.0), (-1.0, 1.0), 3)
+    # an infinite bound would sample NaN points and drop even the origin
+    for x_range, y_range in (((0.0, math.inf), (0.0, 1.0)), ((-1.0, 1.0), (math.nan, 1.0))):
+        with pytest.raises(ValueError, match="finite"):
+            region_sample(cap, x_range, y_range, 3)
     sys5 = SystemSpec(np.eye(3) * 0.5, None, [[1.0, 0.0, 0.0]], [0.0, 0.0, 0.0], 1.0)
     cap5 = determine(sys5, a_tilde=np.eye(3) * 0.5)
     with pytest.raises(ValueError, match="two-state"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -344,6 +345,24 @@ def test_region_svg_unwritable_path(tmp_path, capsys):
     assert not svg_path.exists()
 
 
+def test_region_exact_bytes(tmp_path, capsys):
+    # pins every byte of the CSV and the SVG; the window's non-round bounds
+    # make each x, y and pixel coordinate show all of its digits
+    svg_path = tmp_path / "region.svg"
+    code = main([
+        "region", fixture("ex1"), "--xmin=-2.3", "--xmax=2.1", "--ymin=-1.9", "--ymax=2.7",
+        "--grid", "7", "--svg", str(svg_path),
+    ])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "77e4c843b7e85094e01365e048a4989251b009409b64f6ddf22452f40eb96ddc"
+    )
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == (
+        "22b4e8167af1fe06d692227757ed3b29be3b9a856efc8663a699d7ea474f893a"
+    )
+
+
 def test_region_grid_validation(capsys):
     code = main([
         "region", fixture("ex1"),
@@ -408,6 +427,19 @@ def test_simulate_without_gain_omits_inputs(capsys):
     assert out.strip().split("\n")[0] == "step,x1,x2,y1"
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("ex1", "d332b52aaa6a54753d91af3a523c3847b9d5718c90cf74dc4ca1d9dc2f4377c5"),
+    ("ex6", "f92aafdcf5e551581e1f884d5f10b9e322ffef955c6fe24d3a5bc24c95c6e2e6"),
+])
+def test_simulate_exact_bytes(name, digest, capsys):
+    # ex1 has a gain and so an input block; ex6 gives only A_tilde
+    code = main([
+        "simulate", fixture(name), "--alpha", "0.7", "--beta", "0.2,-0.3", "--steps", "50",
+    ])
+    assert code == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_simulate_zero_run(capsys):
     code = main(["simulate", fixture("ex1"), "--alpha", "0", "--beta", "0,0", "--steps", "2"])
     out = capsys.readouterr().out
@@ -455,6 +487,19 @@ def test_usage_error_exit_code(capsys):
         main(["determine"])  # missing file argument
     assert exc.value.code == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_limits_only_on_commands_that_search(capsys):
+    # analyze and simulate run no fixpoint search, so they take no search limits
+    for argv in (
+        ["analyze", fixture("ex1"), "--max-iter", "5"],
+        ["simulate", fixture("ex1"), "--alpha", "1", "--beta", "0,0", "--steps", "1",
+         "--stop-tol", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_command(capsys):
