@@ -69,12 +69,17 @@ ITERATION_LIMIT = "iteration_limit"
 
 MEMBERSHIP_TOL = 1e-12
 
+# below this bound on the entries of an output-row block, one more step of
+# the closed loop cannot overflow the floating-point range (about 1.8e308)
+OVERFLOW_BOUND = 1e300
+
 
 class DeterminationError(RuntimeError):
-    """The LP solver failed inside the determination loop.
+    """The determination loop could not finish a step: the LP solver gave
+    up, or an output row overflowed the floating-point range.
 
     Carries the step ``k`` and the 1-based signed constraint index ``s``
-    that was being maximized when the solver gave up.
+    that was being maximized when the loop stopped.
     """
 
     def __init__(self, message: str, step: int, constraint: int):
@@ -298,6 +303,23 @@ def sensitivity_rows(sys: SystemSpec, a_tilde, horizon: int) -> np.ndarray:
     return out
 
 
+def _advance(block: np.ndarray, a_tilde: np.ndarray, step: int) -> np.ndarray:
+    """The output rows one step later, ``block @ a_tilde``.  A row that
+    overflows the floating-point range raises :class:`DeterminationError`
+    for ``step``, in place of numpy's overflow warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = block @ a_tilde
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        j = int(np.flatnonzero(~finite)[0])
+        raise DeterminationError(
+            f"output row {j + 1} overflowed the floating-point range",
+            step=step,
+            constraint=2 * j + 1,
+        )
+    return out
+
+
 def _step(
     constraint_stack: np.ndarray,
     objective_block: np.ndarray,
@@ -355,9 +377,17 @@ def determine(
         raise ValueError("max_iter must be at least 1")
     blocks = [sys.c]
     history: list[IterationRecord] = []
+    # the entries of C A~^k are at most max|C| * g**k for g = n max|A~|, which
+    # bounds every column sum of |A~|; while that is small, skip the check
+    growth = sys.n * float(np.abs(at).max())
+    bound = float(np.abs(sys.c).max())
     for k in range(int(max_iter)):
         stack = np.vstack(blocks)
-        objective = blocks[-1] @ at
+        bound *= growth
+        if bound < OVERFLOW_BOUND:
+            objective = blocks[-1] @ at
+        else:
+            objective = _advance(blocks[-1], at, k)
         history.append(_step(stack, objective, sys.epsilon, stop_tol, k))
         if history[-1].stopped:
             break
@@ -391,7 +421,7 @@ def stop_test(
         raise ValueError("objective_step must be nonnegative")
     block = cap.constraint_rows[: cap.output_dim]
     for _ in range(int(objective_step)):
-        block = block @ cap.a_tilde
+        block = _advance(block, cap.a_tilde, objective_step)
     record = _step(cap.constraint_rows, block, cap.epsilon, stop_tol, objective_step)
     return record.stopped, record.values
 

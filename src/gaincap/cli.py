@@ -82,10 +82,21 @@ def _fmt(value: float) -> str:
     return "%.17g" % float(value)
 
 
-def _csv(header: list[str], rows) -> None:
-    """Stream a CSV table to stdout, one line per row as it is formatted."""
-    sys.stdout.write(",".join(header) + "\n")
-    sys.stdout.writelines(",".join(row) + "\n" for row in rows)
+def _grid_row(
+    x_text: list[str], row: np.ndarray, cells: tuple[tuple[str, str] | None, ...]
+) -> str:
+    """The text of one raster row.  Cell ``ix`` with value ``bit`` is
+    ``head + x_text[ix] + tail`` for ``(head, tail) = cells[bit]``, or
+    nothing when ``cells[bit]`` is None; each run of equal cells is one
+    ``str.join`` over the x texts."""
+    cuts = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), len(row)]
+    parts = []
+    for start, stop in zip(cuts, cuts[1:]):
+        cell = cells[int(row[start])]
+        if cell is not None:
+            head, tail = cell
+            parts += [head, (tail + head).join(x_text[start:stop]), tail]
+    return "".join(parts)
 
 
 def _require(data: dict, key: str):
@@ -422,7 +433,8 @@ def cmd_analyze(args) -> int:
 
 
 def _svg(raster: np.ndarray, xs: np.ndarray, ys: np.ndarray, tau0: np.ndarray):
-    """Self-contained SVG, line by line: member cells filled, key vectors marked."""
+    """Self-contained SVG as text chunks of whole lines, one chunk per raster
+    row: member cells filled, key vectors marked."""
     size = 640.0
     margin = 40.0
     x_lo, x_hi = float(xs[0]), float(xs[-1])
@@ -436,30 +448,29 @@ def _svg(raster: np.ndarray, xs: np.ndarray, ys: np.ndarray, tau0: np.ndarray):
 
     cell = size / (len(xs) - 1)
     full = f"{size + 2 * margin:.0f}"
-    yield from (
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{full}" height="{full}" '
-        f'viewBox="0 0 {full} {full}">',
-        f'<rect x="0" y="0" width="{full}" height="{full}" fill="white"/>',
+        f'viewBox="0 0 {full} {full}">\n'
+        f'<rect x="0" y="0" width="{full}" height="{full}" fill="white"/>\n'
         f'<rect x="{margin}" y="{margin}" width="{size}" height="{size}" '
-        'fill="none" stroke="#888"/>',
+        'fill="none" stroke="#888"/>\n'
     )
     # cell corners in pixels, formatted once per column and once per row
     x_text = [f"{px(x) - cell / 2:.2f}" for x in xs.tolist()]
     y_text = [f"{py(y) - cell / 2:.2f}" for y in ys.tolist()]
     size_text = f'width="{cell:.2f}" height="{cell:.2f}" fill="#7fbf7f"/>'
     for y, row in zip(y_text, raster):
-        for ix in np.flatnonzero(row).tolist():
-            yield f'<rect x="{x_text[ix]}" y="{y}" {size_text}'
+        yield _grid_row(x_text, row, (None, ('<rect x="', f'" y="{y}" {size_text}\n')))
     markers = [("tau0", float(tau0[0]), float(tau0[1])), ("e1", 1.0, 0.0), ("e2", 0.0, 1.0)]
     for label, mx, my in markers:
         if x_lo <= mx <= x_hi and y_lo <= my <= y_hi:
             cx, cy = px(mx), py(my)
-            yield f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="#222"/>'
             yield (
+                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="#222"/>\n'
                 f'<text x="{cx + 6:.2f}" y="{cy - 6:.2f}" font-size="14" '
-                f'font-family="sans-serif" fill="#222">{label}</text>'
+                f'font-family="sans-serif" fill="#222">{label}</text>\n'
             )
-    yield "</svg>"
+    yield "</svg>\n"
 
 
 def cmd_region(args) -> int:
@@ -492,20 +503,15 @@ def cmd_region(args) -> int:
         )
     else:
         x_text = [_fmt(x) for x in xs.tolist()]
-        y_text = [_fmt(y) for y in ys.tolist()]
-        _csv(
-            ["x", "y", "inside"],
-            (
-                (x, y, "1" if inside else "0")
-                for y, row in zip(y_text, raster)
-                for x, inside in zip(x_text, row.tolist())
-            ),
-        )
+        write = sys.stdout.write
+        write("x,y,inside\n")
+        for y, row in zip(map(_fmt, ys.tolist()), raster):
+            write(_grid_row(x_text, row, (("", f",{y},0\n"), ("", f",{y},1\n"))))
     if args.svg:
         svg = _svg(raster, xs, ys, problem.system.tau0)
         try:
             with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.writelines(line + "\n" for line in svg)
+                fh.writelines(svg)
         except OSError as err:
             raise InputError(f"cannot write SVG file: {err}") from None
     return EXIT_OK if cap.status == DETERMINED else EXIT_LIMIT
@@ -542,10 +548,18 @@ def cmd_simulate(args) -> int:
     blocks = [("x", traj.states), ("u", traj.inputs), ("y", traj.outputs)]
     blocks = [(name, values) for name, values in blocks if values is not None]
     table = np.hstack([values for _, values in blocks])
-    _csv(
-        ["step"] + [f"{name}{i + 1}" for name, values in blocks for i in range(values.shape[1])],
-        ([str(i), *map(_fmt, row.tolist())] for i, row in enumerate(table)),
-    )
+    header = ["step"] + [f"{name}{i + 1}" for name, vals in blocks for i in range(vals.shape[1])]
+    write = sys.stdout.write
+    write(",".join(header) + "\n")
+    # a settled loop repeats its last row; compare bits, not values, so that
+    # 0.0 and -0.0 keep their own text
+    bits = table.view(np.uint64)
+    changed = np.ones(len(table), dtype=bool)
+    changed[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    for i, new in enumerate(changed.tolist()):
+        if new:
+            text = ",".join(map(_fmt, table[i].tolist())) + "\n"
+        write(f"{i},{text}")
     return EXIT_OK
 
 
@@ -615,7 +629,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except DeterminationError as err:
         print(
-            f"gaincap: LP failure at step {err.step}, constraint {err.constraint}: {err}",
+            f"gaincap: determination failed at step {err.step}, "
+            f"constraint {err.constraint}: {err}",
             file=sys.stderr,
         )
         return EXIT_INPUT

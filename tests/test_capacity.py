@@ -9,6 +9,7 @@ import gaincap.capacity
 from gaincap.capacity import (
     DETERMINED,
     ITERATION_LIMIT,
+    DeterminationError,
     Gain,
     SystemSpec,
     analyze,
@@ -185,6 +186,47 @@ def test_determine_iteration_limit():
     assert len(cap.history) == 25
     assert all(max(rec.values) > 0.9 for rec in cap.history)
     assert cap.constraint_rows.shape == (50, 5)
+
+
+def overflowing_loop():
+    # row 1 of step 1 is [1e200, 0.5], and step 2's row overflows to inf
+    sys_ = SystemSpec(a=np.eye(2), b=None, c=[[1.0, 1.0]], tau0=[0.1, 0.1], epsilon=1.0)
+    return sys_, np.diag([1e200, 0.5])
+
+
+def test_determine_overflow_raises_determination_error():
+    # the objective of step 1 has overflowed; the search must say so, not
+    # pass inf to the LP, and numpy's overflow warning (an error under
+    # pytest's filterwarnings) must not escape either
+    sys_, a_tilde = overflowing_loop()
+    with pytest.raises(DeterminationError, match="overflowed") as exc:
+        determine(sys_, a_tilde=a_tilde)
+    assert (exc.value.step, exc.value.constraint) == (1, 1)
+
+
+def test_stop_test_overflow_raises_determination_error():
+    sys_, a_tilde = overflowing_loop()
+    cap = determine(sys_, a_tilde=a_tilde, max_iter=1)
+    assert cap.status == ITERATION_LIMIT
+    assert stop_test(cap, 1)[0] is False  # [1e200, 0.5] is still finite
+    for step in (2, 5):  # inf, then inf * 0 = nan further on
+        with pytest.raises(DeterminationError, match="overflowed") as exc:
+            stop_test(cap, step)
+        assert (exc.value.step, exc.value.constraint) == (step, 1)
+
+
+@pytest.mark.parametrize("name", [f"ex{i}" for i in range(1, 11)])
+def test_overflow_check_keeps_results(name, monkeypatch):
+    # determine checks a step's rows for overflow only once its growth bound
+    # passes OVERFLOW_BOUND; checking every step must give the same set
+    problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
+    loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {"gain": problem.gain}
+    plain = determine(problem.system, **loop, max_iter=40)
+    monkeypatch.setattr(gaincap.capacity, "OVERFLOW_BOUND", 0.0)
+    checked = determine(problem.system, **loop, max_iter=40)
+    assert (checked.k0, checked.status) == (plain.k0, plain.status)
+    assert checked.constraint_rows.tobytes() == plain.constraint_rows.tobytes()
+    assert checked.history == plain.history
 
 
 def test_membership_frozen():

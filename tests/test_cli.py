@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gaincap import Gain, SystemSpec, determine, region_sample, simulate
 from gaincap.cli import (
     EXIT_INADMISSIBLE,
     EXIT_INPUT,
@@ -220,6 +221,24 @@ def test_determine_non_utf8_file(tmp_path, capsys):
     assert "gaincap: error: problem file is not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["determine", "check-gain"])
+def test_overflowing_rows_exit_input(command, tmp_path, capsys):
+    # the output rows C A~^k grow like 1e200^k and overflow at step 2
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "n": 2, "p": 1, "A": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 1.0]],
+        "A_tilde": [[1e200, 0.0], [0.0, 0.5]], "tau0": [0.1, 0.1], "epsilon": 1.0,
+    }), encoding="utf-8")
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == (
+        "gaincap: determination failed at step 1, constraint 1: "
+        "output row 1 overflowed the floating-point range\n"
+    )
+
+
 # ---------------------------------------------------------------- check-gain
 
 
@@ -363,6 +382,72 @@ def test_region_exact_bytes(tmp_path, capsys):
     )
 
 
+# windows on ex1's set, a slanted strip about |x| <= 1.3, |x + y| <= 1.4: all
+# inside and all outside rows, rows whose outside runs touch both edges, and
+# rows with an inside run on the left edge and an outside run on the right
+REGION_WINDOWS = [(-0.5, 0.5, -3.0, 3.0), (-3.0, 3.0, -1.0, 1.0), (-0.5, 3.0, -2.0, 0.4)]
+
+
+def library_problem(path: str):
+    """A problem file read straight into library objects, without the CLI:
+    the system and the loop keyword the CLI would pass (the gain if given)."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    system = SystemSpec(data["A"], data.get("B"), data["C"], data["tau0"], data["epsilon"])
+    if data.get("K") is not None:
+        return system, {"gain": Gain(data["K"])}
+    return system, {"a_tilde": data["A_tilde"]}
+
+
+def region_reference(window, grid):
+    """The CSV lines and SVG member-cell lines of ``region``, one cell at a time."""
+    x_lo, x_hi, y_lo, y_hi = window
+    system, loop = library_problem(fixture("ex1"))
+    cap = determine(system, **loop)
+    raster = region_sample(cap, (x_lo, x_hi), (y_lo, y_hi), grid)
+    xs = np.linspace(x_lo, x_hi, grid).tolist()
+    ys = np.linspace(y_lo, y_hi, grid).tolist()
+    csv = ["x,y,inside"]
+    rects = []
+    cell = 640.0 / (grid - 1)
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            csv.append("%.17g,%.17g,%d" % (x, y, raster[iy, ix]))
+            if raster[iy, ix]:
+                left = 40.0 + (x - x_lo) / (x_hi - x_lo) * 640.0 - cell / 2
+                top = 40.0 + (y_hi - y) / (y_hi - y_lo) * 640.0 - cell / 2
+                rects.append(
+                    f'<rect x="{left:.2f}" y="{top:.2f}" '
+                    f'width="{cell:.2f}" height="{cell:.2f}" fill="#7fbf7f"/>'
+                )
+    return raster, csv, rects
+
+
+def test_region_matches_per_cell_reference(tmp_path, capsys):
+    kinds = set()
+    for window in REGION_WINDOWS:
+        for grid in (2, 9):
+            raster, csv, rects = region_reference(window, grid)
+            kinds.update(
+                "inside" if row.all() else "outside" if not row.any() else "mixed"
+                for row in raster
+            )
+            svg_path = tmp_path / "region.svg"
+            bounds = dict(zip(("--xmin", "--xmax", "--ymin", "--ymax"), window))
+            code = main([
+                "region", fixture("ex1"), *(f"{flag}={value!r}" for flag, value in bounds.items()),
+                "--grid", str(grid), "--svg", str(svg_path),
+            ])
+            assert code == EXIT_OK
+            assert capsys.readouterr().out == "\n".join(csv) + "\n"
+            lines = svg_path.read_text(encoding="utf-8").split("\n")
+            # three lines of frame, then the member cells, then the markers
+            assert lines[3:3 + len(rects)] == rects
+            assert sum(line.endswith('fill="#7fbf7f"/>') for line in lines) == len(rects)
+            assert lines[-2:] == ["</svg>", ""]
+    assert kinds == {"inside", "outside", "mixed"}
+
+
 def test_region_grid_validation(capsys):
     code = main([
         "region", fixture("ex1"),
@@ -438,6 +523,50 @@ def test_simulate_exact_bytes(name, digest, capsys):
     ])
     assert code == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def simulate_reference(name, alpha, beta, steps):
+    """The simulate CSV, every value of every row formatted on its own."""
+    system, loop = library_problem(name)
+    traj = simulate(system, **loop, alpha=alpha, beta=beta, steps=steps)
+    header = ["step"] + [f"x{i + 1}" for i in range(traj.states.shape[1])]
+    if traj.inputs is not None:
+        header += [f"u{i + 1}" for i in range(traj.inputs.shape[1])]
+    header += [f"y{i + 1}" for i in range(traj.outputs.shape[1])]
+    lines = [",".join(header)]
+    for i in range(steps + 1):
+        values = list(traj.states[i])
+        if traj.inputs is not None:
+            values += list(traj.inputs[i])
+        values += list(traj.outputs[i])
+        lines.append(",".join([str(i)] + ["%.17g" % v for v in values]))
+    return "\n".join(lines) + "\n"
+
+
+def test_simulate_settled_run_matches_reference(capsys):
+    # ex1's state turns subnormal at about step 6716 and sits at a rounding
+    # fixed point from step 7042, so the last 959 rows repeat the row before
+    code = main(["simulate", fixture("ex1"), "--alpha", "0.7", "--beta", "0.2,-0.3",
+                 "--steps", "8000"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out == simulate_reference(fixture("ex1"), 0.7, [0.2, -0.3], 8000)
+    values = [line.partition(",")[2] for line in out.split("\n")[1:-1]]
+    assert sum(a == b for a, b in zip(values, values[1:])) > 900
+
+
+def test_simulate_keeps_signed_zeros(tmp_path, capsys):
+    # row 0 is [-0, -0, 0] and row 1 is [0, 0, 0]: equal values, other bits
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "n": 2, "p": 1, "A": [[0.5, 0.0], [0.0, 0.5]], "C": [[1.0, 1.0]],
+        "A_tilde": [[0.5, 0.0], [0.0, 0.5]], "tau0": [0.0, 0.0], "epsilon": 1.0,
+    }), encoding="utf-8")
+    code = main(["simulate", str(path), "--alpha=-1", "--beta=-0.0,-0.0", "--steps", "2"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out == "step,x1,x2,y1\n0,-0,-0,0\n1,0,0,0\n2,0,0,0\n"
+    assert out == simulate_reference(str(path), -1.0, [-0.0, -0.0], 2)
 
 
 def test_simulate_zero_run(capsys):
