@@ -69,10 +69,6 @@ ITERATION_LIMIT = "iteration_limit"
 
 MEMBERSHIP_TOL = 1e-12
 
-# below this bound on the entries of an output-row block, one more step of
-# the closed loop cannot overflow the floating-point range (about 1.8e308)
-OVERFLOW_BOUND = 1e300
-
 
 class DeterminationError(RuntimeError):
     """The determination loop could not finish a step: the LP solver gave
@@ -309,9 +305,8 @@ def _advance(block: np.ndarray, a_tilde: np.ndarray, step: int) -> np.ndarray:
     for ``step``, in place of numpy's overflow warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = block @ a_tilde
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        j = int(np.flatnonzero(~finite)[0])
+    if not np.isfinite(out).all():
+        j = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise DeterminationError(
             f"output row {j + 1} overflowed the floating-point range",
             step=step,
@@ -377,17 +372,9 @@ def determine(
         raise ValueError("max_iter must be at least 1")
     blocks = [sys.c]
     history: list[IterationRecord] = []
-    # the entries of C A~^k are at most max|C| * g**k for g = n max|A~|, which
-    # bounds every column sum of |A~|; while that is small, skip the check
-    growth = sys.n * float(np.abs(at).max())
-    bound = float(np.abs(sys.c).max())
     for k in range(int(max_iter)):
         stack = np.vstack(blocks)
-        bound *= growth
-        if bound < OVERFLOW_BOUND:
-            objective = blocks[-1] @ at
-        else:
-            objective = _advance(blocks[-1], at, k)
+        objective = _advance(blocks[-1], at, k)
         history.append(_step(stack, objective, sys.epsilon, stop_tol, k))
         if history[-1].stopped:
             break

@@ -215,20 +215,6 @@ def test_stop_test_overflow_raises_determination_error():
         assert (exc.value.step, exc.value.constraint) == (step, 1)
 
 
-@pytest.mark.parametrize("name", [f"ex{i}" for i in range(1, 11)])
-def test_overflow_check_keeps_results(name, monkeypatch):
-    # determine checks a step's rows for overflow only once its growth bound
-    # passes OVERFLOW_BOUND; checking every step must give the same set
-    problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
-    loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {"gain": problem.gain}
-    plain = determine(problem.system, **loop, max_iter=40)
-    monkeypatch.setattr(gaincap.capacity, "OVERFLOW_BOUND", 0.0)
-    checked = determine(problem.system, **loop, max_iter=40)
-    assert (checked.k0, checked.status) == (plain.k0, plain.status)
-    assert checked.constraint_rows.tobytes() == plain.constraint_rows.tobytes()
-    assert checked.history == plain.history
-
-
 def test_membership_frozen():
     cap = determine(two_state(), two_state_gain())
     assert membership(cap, [0.3, 0.5]).member
