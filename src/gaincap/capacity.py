@@ -287,16 +287,30 @@ def sensitivity_rows(sys: SystemSpec, a_tilde, horizon: int) -> np.ndarray:
     output to the initial-state scale; dotted with e_j it gives the
     sensitivity to the j-th offset component.  Blocks are built by row
     propagation (block_{i+1} = block_i @ a_tilde), never by matrix powers.
+    Raises :class:`OverflowError` naming the first block that left the
+    floating-point range.
     """
     at = as_matrix(a_tilde, "a_tilde")
     if int(horizon) < 0:
         raise ValueError("horizon must be nonnegative")
     blocks = [sys.c]
-    for _ in range(int(horizon)):
-        blocks.append(blocks[-1] @ at)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(horizon)):
+            blocks.append(blocks[-1] @ at)
     out = np.vstack(blocks)
+    _require_finite([out], sys.p, "output rows")
     out.setflags(write=False)
     return out
+
+
+def _require_finite(tables: list, rows_per_step: int, what: str) -> None:
+    """Raise :class:`OverflowError` naming the first step whose rows of
+    ``tables`` (row-aligned, ``rows_per_step`` rows per step) hold an inf
+    or NaN."""
+    finite = np.all([np.isfinite(t).all(axis=1) for t in tables], axis=0)
+    if not finite.all():
+        step = int(np.argmin(finite)) // rows_per_step
+        raise OverflowError(f"{what} left the floating-point range at step {step}")
 
 
 def _advance(block: np.ndarray, a_tilde: np.ndarray, step: int) -> np.ndarray:
@@ -540,7 +554,8 @@ def simulate(
     When a gain is supplied the realized inputs ``u_i = k x_i`` are
     recorded; with only the closed-loop matrix the inputs are None.  Both
     may be given together (a_tilde drives the dynamics, the gain reports
-    inputs).
+    inputs).  Raises :class:`OverflowError` naming the first step whose
+    state, input or output left the floating-point range.
     """
     at = _resolve_a_tilde(sys, gain if a_tilde is None else None, a_tilde)
     beta = as_vector(beta, "beta")
@@ -551,16 +566,18 @@ def simulate(
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be a finite number")
+    if gain is not None and gain.k.shape[1] != sys.n:
+        raise ValueError(f"gain has {gain.k.shape[1]} columns, expected {sys.n}")
     states = np.empty((int(steps) + 1, sys.n))
-    states[0] = alpha * sys.tau0 + beta
-    for i in range(int(steps)):
-        states[i + 1] = at @ states[i]
-    outputs = states @ sys.c.T
-    inputs = None
-    if gain is not None:
-        if gain.k.shape[1] != sys.n:
-            raise ValueError(f"gain has {gain.k.shape[1]} columns, expected {sys.n}")
-        inputs = states @ gain.k.T
+    # one finiteness check after the loop, not one per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        states[0] = alpha * sys.tau0 + beta
+        for i in range(int(steps)):
+            states[i + 1] = at @ states[i]
+        outputs = states @ sys.c.T
+        inputs = None if gain is None else states @ gain.k.T
+    _require_finite([t for t in (states, inputs, outputs) if t is not None], 1, "the trajectory")
+    if inputs is not None:
         inputs.setflags(write=False)
     states.setflags(write=False)
     outputs.setflags(write=False)

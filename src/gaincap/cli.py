@@ -21,7 +21,8 @@ of its entries are optional (defaults: max_iter 200, stop_tol 1e-9, horizon
 
 Commands: ``determine``, ``check-gain``, ``analyze``, ``region``,
 ``simulate``.  Exit codes: 0 success (admissible for check-gain), 1 usage or
-input error, 2 iteration limit reached, 3 inadmissible gain.
+input error, 2 iteration limit reached, 3 inadmissible gain, 141 stdout
+closed before the output was written.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_LIMIT = 2
 EXIT_INADMISSIBLE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
 
 CROSS_CHECK_TOL = 1e-9
 
@@ -624,7 +627,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as err:
+    except (InputError, OverflowError) as err:
         print(f"gaincap: error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except DeterminationError as err:
@@ -637,7 +640,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); point it at devnull so
+        # that the interpreter's flush at shutdown cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

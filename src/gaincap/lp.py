@@ -16,8 +16,15 @@ leaving variable's column where the entering one stood, so the unit
 columns of the basic variables are never stored.
 
 The entering column is Dantzig's: the one with the largest reduced cost.
-The leaving row is, among the ratio-test ties, the one whose basic
-variable has the smallest label.  Dantzig's rule can cycle on a degenerate
+One ``argmax`` of the reduced-cost row both picks it and ends the phase:
+the LP is optimal when no reduced cost exceeds ``PIVOT_TOL``.  As
+``argmax`` returns the first NaN, a full scan of the row confirms the end
+whenever the picked entry fails that test.  The ratio test runs over the
+candidate rows only, those whose pivot-column entry exceeds ``PIVOT_TOL``,
+and the leaving row is, among their ratio ties, the one whose basic
+variable has the smallest label.  Rows that are no candidate never enter
+the choice, except on an inf or NaN ratio, where the choice is the one a
+scan over every row would make.  Dantzig's rule can cycle on a degenerate
 vertex, so after half the pivot budget the entering scan switches to
 Bland's rule (the improving column with the smallest label), which with
 that leaving rule never cycles.  The iteration count is therefore finite;
@@ -104,10 +111,10 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     column ``col`` (the caller swaps the two labels).
 
     The column is first overwritten by the leaving variable's unit column,
-    so one rank-one update moves the whole tableau (the constraint rows,
-    the right-hand-side column and the reduced-cost row alike) and writes
-    the leaving column as the full tableau would: ``1 / pivot`` in the
-    pivot row and ``-factor / pivot`` elsewhere.
+    so one rank-one update, applied in place, moves the whole tableau (the
+    constraint rows, the right-hand-side column and the reduced-cost row
+    alike) and writes the leaving column as the full tableau would:
+    ``1 / pivot`` in the pivot row and ``-factor / pivot`` elsewhere.
     """
     pivot = tab[row, col]
     factors = tab[:, col].copy()
@@ -115,7 +122,7 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     tab[row] /= pivot
-    tab -= np.outer(factors, tab[row])
+    tab -= np.multiply.outer(factors, tab[row])
 
 
 def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
@@ -145,34 +152,39 @@ def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
     tab = np.vstack([np.hstack([g, -g, h[:, None]]), np.concatenate([c_s, -c_s, [0.0]])])
     basis = np.arange(2 * n, 2 * n + r)
     nonbasic = np.arange(2 * n)
+    reduced, rhs = tab[-1, :-1], tab[:-1, -1]  # views, updated in place by _pivot
 
     for pivots in itertools.count():
-        reduced = tab[-1, :-1]
-        improving = reduced > PIVOT_TOL
-        if not improving.any():
-            break
         # Dantzig's rule, then Bland's for the second half of the budget
         if pivots < budget // 2:
-            col = int(np.argmax(reduced))
+            col = int(reduced.argmax())
+            # argmax returns the first NaN, so only a full scan may end
+            if not reduced[col] > PIVOT_TOL and not (reduced > PIVOT_TOL).any():
+                break
         else:
+            improving = reduced > PIVOT_TOL
+            if not improving.any():
+                break
             col = int(np.argmin(np.where(improving, nonbasic, 2 * n + r)))
         column = tab[:-1, col]
-        positive = column > PIVOT_TOL
-        if not positive.any():
+        candidates = (column > PIVOT_TOL).nonzero()[0]
+        if not candidates.size:
             return LpOutcome(UNBOUNDED, pivots=pivots)
-        ratios = np.where(
-            positive, np.maximum(tab[:-1, -1], 0.0) / np.where(positive, column, 1.0), np.inf
-        )
-        best = float(np.min(ratios))
-        ties = ratios <= best + 1e-12 * (1.0 + best)
-        row = int(np.argmin(np.where(ties, basis, 2 * n + r)))
+        ratios = np.maximum(rhs[candidates], 0.0) / column[candidates]
+        best = float(ratios.min())
+        limit = best + 1e-12 * (1.0 + best)
+        if limit < np.inf:
+            ties = candidates[ratios <= limit]
+        else:  # an inf or NaN ratio: every row ties, or none and row 0 is taken
+            ties = np.arange(r) if limit == np.inf else np.zeros(1, dtype=int)
+        row = int(ties[basis[ties].argmin()])
         if pivots >= budget:
             raise SimplexBudgetError(f"pivot budget of {budget} exhausted ({r} constraints)")
         _pivot(tab, row, col)
         basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
     x_split = np.zeros(2 * n + r)
-    x_split[basis] = tab[:-1, -1]
+    x_split[basis] = rhs
     x = x_split[:n] - x_split[n : 2 * n]
     x.setflags(write=False)
     return LpOutcome(OPTIMAL, point=x, value=float(c @ x), pivots=pivots)

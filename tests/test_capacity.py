@@ -215,6 +215,23 @@ def test_stop_test_overflow_raises_determination_error():
         assert (exc.value.step, exc.value.constraint) == (step, 1)
 
 
+def test_analyze_and_simulate_overflow_name_the_step():
+    # block 2 of the output rows and the state at step 2 overflow to inf;
+    # no numpy warning may escape (pytest turns warnings into errors)
+    sys_, a_tilde = overflowing_loop()
+    with pytest.raises(OverflowError, match="output rows left the floating-point range at step 2"):
+        analyze(sys_, a_tilde=a_tilde)
+    with pytest.raises(OverflowError, match="trajectory left the floating-point range at step 2"):
+        simulate(sys_, a_tilde=a_tilde, alpha=1.0, beta=[0.0, 0.0], steps=3)
+    assert np.isfinite(simulate(sys_, a_tilde=a_tilde, alpha=1.0, beta=[0.0, 0.0], steps=1).states).all()
+    # a finite state whose output overflows, and a start that overflows at once
+    wide = SystemSpec(a=np.eye(2), b=None, c=[[1.0, 1.0]], tau0=[1.0, 1.0], epsilon=1.0)
+    with pytest.raises(OverflowError, match="at step 1"):
+        simulate(wide, a_tilde=np.diag([1e308, 1e308]), alpha=1.0, beta=[0.0, 0.0], steps=2)
+    with pytest.raises(OverflowError, match="at step 0"):
+        simulate(wide, a_tilde=np.eye(2), alpha=1e308, beta=[1e308, 0.0], steps=2)
+
+
 def test_membership_frozen():
     cap = determine(two_state(), two_state_gain())
     assert membership(cap, [0.3, 0.5]).member

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from gaincap.cli import (
     EXIT_INPUT,
     EXIT_LIMIT,
     EXIT_OK,
+    EXIT_PIPE,
     InputError,
     load_problem,
     main,
@@ -221,15 +225,19 @@ def test_determine_non_utf8_file(tmp_path, capsys):
     assert "gaincap: error: problem file is not UTF-8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["determine", "check-gain"])
-def test_overflowing_rows_exit_input(command, tmp_path, capsys):
+def overflowing_problem(tmp_path) -> str:
     # the output rows C A~^k grow like 1e200^k and overflow at step 2
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({
         "n": 2, "p": 1, "A": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 1.0]],
         "A_tilde": [[1e200, 0.0], [0.0, 0.5]], "tau0": [0.1, 0.1], "epsilon": 1.0,
     }), encoding="utf-8")
-    code = main([command, str(path)])
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["determine", "check-gain"])
+def test_overflowing_rows_exit_input(command, tmp_path, capsys):
+    code = main([command, overflowing_problem(tmp_path)])
     captured = capsys.readouterr()
     assert code == EXIT_INPUT
     assert captured.out == ""
@@ -237,6 +245,36 @@ def test_overflowing_rows_exit_input(command, tmp_path, capsys):
         "gaincap: determination failed at step 1, constraint 1: "
         "output row 1 overflowed the floating-point range\n"
     )
+
+
+@pytest.mark.parametrize("args, message", [
+    (["analyze"], "output rows left the floating-point range at step 2"),
+    (["simulate", "--alpha", "1", "--beta", "0,0", "--steps", "3"],
+     "the trajectory left the floating-point range at step 2"),
+])
+def test_overflow_in_analyze_and_simulate_exits_input(args, message, tmp_path, capsys):
+    code = main([args[0], overflowing_problem(tmp_path), *args[1:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == f"gaincap: error: {message}\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # 5000 steps are far more than a pipe buffer holds, so the writes after
+    # the reader has gone fail; so would the interpreter's flush at exit
+    with subprocess.Popen(
+        [sys.executable, "-m", "gaincap.cli", "simulate", fixture("ex1"),
+         "--alpha", "0.7", "--beta", "0.2,-0.3", "--steps", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    ) as proc:
+        assert proc.stdout.readline() == b"step,x1,x2,u1,u2,y1\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_PIPE
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == ""
 
 
 # ---------------------------------------------------------------- check-gain

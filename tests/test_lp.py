@@ -118,6 +118,27 @@ def test_dantzig_cycle_falls_back_to_bland():
     assert (out.status, out.value, out.pivots) == (OPTIMAL, 0.0, 275 + 3)
 
 
+@pytest.mark.parametrize("objective, rows, bounds, pivots", [
+    # the ratio test meets an inf ratio (every row ties) and later a NaN one
+    # (no row ties, so row 0 is taken)
+    ([1.0], [[-1e-300], [2e-300]], [0.0, 2e300], None),
+    ([-3.0], [[1e-300], [-2e-200]], [1e308, 1e300], None),
+    # a NaN reduced cost is the argmax, but another one still improves
+    ([-1.0], [[0.0], [-3e-200]], [0.0, 2e300], 1),
+])
+def test_non_finite_tableau_keeps_full_scan_decisions(objective, rows, bounds, pivots):
+    # equilibration divides a bound near the top of the float range by a
+    # tiny row scale, so the tableau holds inf, and pivots on it make NaN;
+    # the pivot rules must still decide as scans over every row and every
+    # column would: None stands for an exhausted budget
+    with np.errstate(all="ignore"):
+        if pivots is None:
+            with pytest.raises(SimplexBudgetError, match="budget of 150 exhausted"):
+                solve(LpProblem(objective, rows, bounds))
+        else:
+            assert solve(LpProblem(objective, rows, bounds)) == LpOutcome(UNBOUNDED, pivots=pivots)
+
+
 def random_lps(seed, count):
     """Gaussian, degenerate integer and symmetric band ``[S; -S]`` LPs in
     turn, with 3 to 6 variables."""
@@ -141,15 +162,19 @@ def random_lps(seed, count):
 
 
 def test_matches_exact_oracle():
-    statuses = set()
+    statuses, pivots = [], 0
     for c, g, h in random_lps(6, 210):
         out = solve(LpProblem(c, g, h))
         status, value = exact_maximize(c, g, h)
         assert out.status == status
-        statuses.add(status)
+        statuses.append(status)
+        pivots += out.pivots
         if status == OPTIMAL:
             assert out.value == pytest.approx(float(value), rel=1e-9, abs=1e-9)
-    assert statuses == {OPTIMAL, UNBOUNDED}
+    assert (statuses.count(OPTIMAL), statuses.count(UNBOUNDED)) == (114, 96)
+    # pins the pricing, the ratio test and its tie-break: any change to
+    # one of them moves the pivot path of some of these LPs
+    assert pivots == 1015
 
 
 def test_returned_point_is_feasible():
