@@ -508,6 +508,8 @@ def analyze(
     below one guarantees the fixpoint search stops.  When the loop is
     spectrally stable the output rows decay; ``decay_index`` is the first
     step from which every block through the horizon already fits the band.
+    Raises :class:`OverflowError` naming the first step at which the
+    controllability matrix or the output rows left the floating-point range.
     """
     at = _resolve_a_tilde(sys, gain, a_tilde)
     if horizon is None:
@@ -516,7 +518,11 @@ def analyze(
         raise ValueError(f"horizon must be at least n = {sys.n}")
     controllable = None
     if sys.b is not None:
-        controllable = rank(controllability_matrix(sys.a, sys.b)) == sys.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = controllability_matrix(sys.a, sys.b)
+        # block i is A^i B, the response i steps after an input impulse
+        _require_finite([blocks.T], sys.b.shape[1], "the controllability matrix")
+        controllable = rank(blocks) == sys.n
     # horizon >= n, so the first n blocks form the observability matrix
     rows = sensitivity_rows(sys, at, horizon)
     observable = rank(rows[: sys.n * sys.p]) == sys.n

@@ -230,6 +230,13 @@ def test_analyze_and_simulate_overflow_name_the_step():
         simulate(wide, a_tilde=np.diag([1e308, 1e308]), alpha=1.0, beta=[0.0, 0.0], steps=2)
     with pytest.raises(OverflowError, match="at step 0"):
         simulate(wide, a_tilde=np.eye(2), alpha=1e308, beta=[1e308, 0.0], steps=2)
+    # A^2 B overflows before any output row is formed
+    plant = SystemSpec(
+        a=np.diag([1e200, 0.5, 0.5]), b=np.ones((3, 1)), c=[[0.0, 1.0, 1.0]],
+        tau0=[0.3, 0.5, 0.1], epsilon=1.0,
+    )
+    with pytest.raises(OverflowError, match="controllability matrix left .* at step 2"):
+        analyze(plant, a_tilde=np.diag([0.5, 0.5, 0.5]))
 
 
 def test_membership_frozen():
