@@ -119,11 +119,12 @@ def test_dantzig_cycle_falls_back_to_bland():
 
 
 @pytest.mark.parametrize("objective, rows, bounds, pivots", [
-    # the ratio test meets an inf ratio (every row ties) and later a NaN one
-    # (no row ties, so row 0 is taken)
+    # an inf ratio, on which every row ties
     ([1.0], [[-1e-300], [2e-300]], [0.0, 2e300], None),
+    # an inf ratio, then a NaN one, on which no row ties and row 0 is taken
     ([-3.0], [[1e-300], [-2e-200]], [1e308, 1e300], None),
-    # a NaN reduced cost is the argmax, but another one still improves
+    # an inf ratio, then a NaN reduced cost as the argmax while another
+    # reduced cost still improves
     ([-1.0], [[0.0], [-3e-200]], [0.0, 2e300], 1),
 ])
 def test_non_finite_tableau_keeps_full_scan_decisions(objective, rows, bounds, pivots):
