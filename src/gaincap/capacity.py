@@ -68,6 +68,8 @@ DETERMINED = "determined"
 ITERATION_LIMIT = "iteration_limit"
 
 MEMBERSHIP_TOL = 1e-12
+# simulate looks for a state that maps to its own bits once per this many steps
+SETTLE_STRIDE = 64
 
 
 class DeterminationError(RuntimeError):
@@ -509,7 +511,9 @@ def analyze(
     spectrally stable the output rows decay; ``decay_index`` is the first
     step from which every block through the horizon already fits the band.
     Raises :class:`OverflowError` naming the first step at which the
-    controllability matrix or the output rows left the floating-point range.
+    controllability matrix or the output rows left the floating-point range,
+    or when the closed loop's induced max-norm does.  An output-row block
+    whose max-norm overflows counts as outside the band.
     """
     at = _resolve_a_tilde(sys, gain, a_tilde)
     if horizon is None:
@@ -531,7 +535,9 @@ def analyze(
     decay_index = None
     if radius < 1.0:
         blocks = rows.reshape(int(horizon) + 1, sys.p, sys.n)
-        norms = np.abs(blocks).sum(axis=2).max(axis=1)
+        # a row sum of finite entries can still overflow; inf is above the band
+        with np.errstate(over="ignore"):
+            norms = np.abs(blocks).sum(axis=2).max(axis=1)
         over = np.flatnonzero(norms > sys.epsilon)
         last = int(over[-1]) if over.size else -1
         decay_index = last + 1 if last < horizon else None
@@ -562,6 +568,12 @@ def simulate(
     may be given together (a_tilde drives the dynamics, the gain reports
     inputs).  Raises :class:`OverflowError` naming the first step whose
     state, input or output left the floating-point range.
+
+    A stable loop in floating point often reaches a rounding fixed point, a
+    state that ``a_tilde`` maps to the same bits.  Equal bits give an equal
+    product, so from there every row repeats: the loop looks for such a
+    state every ``SETTLE_STRIDE`` steps and fills the remaining rows with
+    it.  The arrays are bit-identical to stepping all ``steps``.
     """
     at = _resolve_a_tilde(sys, gain if a_tilde is None else None, a_tilde)
     beta = as_vector(beta, "beta")
@@ -574,12 +586,19 @@ def simulate(
         raise ValueError("alpha must be a finite number")
     if gain is not None and gain.k.shape[1] != sys.n:
         raise ValueError(f"gain has {gain.k.shape[1]} columns, expected {sys.n}")
-    states = np.empty((int(steps) + 1, sys.n))
+    steps = int(steps)
+    states = np.empty((steps + 1, sys.n))
     # one finiteness check after the loop, not one per step
     with np.errstate(over="ignore", invalid="ignore"):
         states[0] = alpha * sys.tau0 + beta
-        for i in range(int(steps)):
-            states[i + 1] = at @ states[i]
+        for start in range(0, steps, SETTLE_STRIDE):
+            for i in range(start, min(start + SETTLE_STRIDE, steps)):
+                states[i + 1] = at @ states[i]
+            # equal bits in give equal bits out, so a state that maps to its
+            # own bits repeats to the end; bits, not values, keep -0.0 apart
+            if states[i + 1].tobytes() == states[i].tobytes():
+                states[i + 2 :] = states[i + 1]
+                break
         outputs = states @ sys.c.T
         inputs = None if gain is None else states @ gain.k.T
     _require_finite([t for t in (states, inputs, outputs) if t is not None], 1, "the trajectory")

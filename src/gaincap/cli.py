@@ -28,6 +28,7 @@ closed before the output was written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -559,9 +560,10 @@ def cmd_simulate(args) -> int:
     bits = table.view(np.uint64)
     changed = np.ones(len(table), dtype=bool)
     changed[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
     for i, new in enumerate(changed.tolist()):
         if new:
-            text = ",".join(map(_fmt, table[i].tolist())) + "\n"
+            text = template % tuple(table[i].tolist())
         write(f"{i},{text}")
     return EXIT_OK
 
@@ -594,6 +596,7 @@ def _add_command(commands, name: str, func, summary: str, *, limits: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``gaincap`` command line."""
     parser = _Parser(
         prog="gaincap",
         description="Capacity sets of state-feedback gains under output bands.",
@@ -622,9 +625,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call.  Parsing
+    leaves no state in it, so every later call in the process reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; bad usage raises
+    ``SystemExit(1)``.  The argument parser is built once per process and
+    shared by every call."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, OverflowError) as err:

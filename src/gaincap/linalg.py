@@ -81,6 +81,12 @@ def spectral_radius(m) -> float:
 
 
 def induced_inf_norm(m) -> float:
-    """Operator norm induced by the max norm: largest absolute row sum."""
+    """Operator norm induced by the max norm: largest absolute row sum.
+    Raises :class:`OverflowError` when a row sum of finite entries leaves
+    the floating-point range."""
     m = as_matrix(m, "matrix")
-    return float(np.max(np.sum(np.abs(m), axis=1)))
+    with np.errstate(over="ignore"):
+        norm = float(np.max(np.sum(np.abs(m), axis=1)))
+    if norm == np.inf:
+        raise OverflowError("the induced max-norm left the floating-point range")
+    return norm

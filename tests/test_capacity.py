@@ -239,6 +239,85 @@ def test_analyze_and_simulate_overflow_name_the_step():
         analyze(plant, a_tilde=np.diag([0.5, 0.5, 0.5]))
 
 
+def test_analyze_row_sums_that_overflow():
+    # every entry is finite, but a row sum of |a_tilde| is not: the norm has
+    # no float value, and the output-row block whose sum overflows counts as
+    # above the band
+    wide = SystemSpec(a=np.eye(2), b=None, c=[[0.0, 1.0]], tau0=[0.1, 0.1], epsilon=1.0)
+    with pytest.raises(OverflowError, match="induced max-norm left the floating-point range"):
+        analyze(wide, a_tilde=[[1e308, 1e308], [0.0, 0.0]])
+    tall = SystemSpec(a=np.eye(2), b=None, c=[[1e308, 1e308]], tau0=[0.1, 0.1], epsilon=1e308)
+    rep = analyze(tall, a_tilde=0.5 * np.eye(2))
+    assert (rep.inf_norm, rep.decay_index) == (0.5, 1)  # block 0 sums to inf, block 1 to 1e308
+    rep = analyze(dataclasses.replace(tall, epsilon=1.0), a_tilde=0.5 * np.eye(2))
+    assert rep.decay_index is None
+
+
+def stepped(sys_, a_tilde, k, alpha, beta, steps):
+    """Every state, input and output of ``steps`` plain steps, and the first
+    step at which one of them is not finite (None when all are)."""
+    with np.errstate(all="ignore"):
+        x = alpha * np.asarray(sys_.tau0) + np.asarray(beta, dtype=float)
+        states = [x]
+        for _ in range(steps):
+            x = np.asarray(a_tilde) @ x
+            states.append(x)
+        states = np.array(states)
+        outputs = states @ np.asarray(sys_.c).T
+        inputs = None if k is None else states @ np.asarray(k).T
+    table = np.hstack([t for t in (states, inputs, outputs) if t is not None])
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    return states, inputs, outputs, int(bad[0]) if bad.size else None
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def simulate_cases():
+    ex1 = load_problem(str(Path(__file__).parent / "fixtures" / "ex1.json"))
+    ex1_loop = ex1.system.a + ex1.system.b @ ex1.gain.k
+    angle = 1.0  # an irrational turn: the state never repeats
+    turn = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    plain = SystemSpec(a=np.eye(3), b=None, c=[[1.0, -2.0, 0.5]], tau0=[0.3, -0.7, 1.1],
+                       epsilon=1.0)
+    zero = SystemSpec(a=np.eye(2), b=None, c=[[1.0, 1.0]], tau0=[0.0, 0.0], epsilon=1.0)
+    return {
+        # subnormal states from about step 6716, a rounding fixed point from 7042
+        "ex1": (ex1.system, ex1_loop, ex1.gain.k, 0.7, [0.2, -0.3], 8000, True),
+        "nilpotent": (plain, np.triu(np.full((3, 3), 0.9), 1), None, 1.0, [0.2, 0.1, -0.4],
+                      300, True),
+        "signed zero": (zero, 0.5 * np.eye(2), None, -1.0, [-0.0, -0.0], 200, True),
+        # x1 is fixed from the start while (x2, x3) turns
+        "rotation": (plain, np.block([[np.ones((1, 1)), np.zeros((1, 2))],
+                                      [np.zeros((2, 1)), np.array(turn)]]),
+                     None, 1.0, [0.0, 0.0, 0.0], 3000, False),
+        "overflow": (plain, np.diag([2.0, 0.5, 1.0]), None, 1e300, [0.0, 0.0, 0.0], 2000,
+                     None),
+    }
+
+
+@pytest.mark.parametrize("name", list(simulate_cases()))
+def test_simulate_matches_plain_steps_bit_for_bit(name):
+    # simulate stops stepping once a state maps to its own bits; the arrays
+    # must still equal, bit for bit, those of stepping every time
+    sys_, a_tilde, k, alpha, beta, steps, settles = simulate_cases()[name]
+    states, inputs, outputs, bad = stepped(sys_, a_tilde, k, alpha, beta, steps)
+    gain = None if k is None else Gain(k)
+    if bad is not None:
+        with pytest.raises(OverflowError, match=f"trajectory left .* at step {bad}$"):
+            simulate(sys_, gain, a_tilde=a_tilde, alpha=alpha, beta=beta, steps=steps)
+        return
+    traj = simulate(sys_, gain, a_tilde=a_tilde, alpha=alpha, beta=beta, steps=steps)
+    assert same_bits(traj.states, states)
+    assert same_bits(traj.outputs, outputs)
+    assert (traj.inputs is None) == (k is None)
+    if k is not None:
+        assert same_bits(traj.inputs, inputs)
+    # the case reaches a fixed point long before its last step, or never does
+    assert same_bits(states[-1], states[-2 - gaincap.capacity.SETTLE_STRIDE]) == settles
+
+
 def test_membership_frozen():
     cap = determine(two_state(), two_state_gain())
     assert membership(cap, [0.3, 0.5]).member

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gaincap.cli
 from gaincap import Gain, SystemSpec, determine, region_sample, simulate
 from gaincap.cli import (
     EXIT_INADMISSIBLE,
@@ -258,6 +259,21 @@ def test_overflow_in_analyze_and_simulate_exits_input(args, message, tmp_path, c
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert captured.err == f"gaincap: error: {message}\n"
+
+
+def test_analyze_norm_overflow_exits_input(tmp_path, capsys):
+    # finite entries whose row sum is not: the norm has no float value, so
+    # the report must not print Infinity (which is not JSON) and exit 0
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "n": 2, "p": 1, "A": [[1e308, 1e308], [0, 0]], "A_tilde": [[1e308, 1e308], [0, 0]],
+        "C": [[0, 1]], "tau0": [0.1, 0.1], "epsilon": 1,
+    }), encoding="utf-8")
+    code = main(["analyze", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == "gaincap: error: the induced max-norm left the floating-point range\n"
 
 
 def test_closed_stdout_exits_quietly():
@@ -667,6 +683,45 @@ def test_limits_only_on_commands_that_search(capsys):
             main(argv)
         assert exc.value.code == EXIT_INPUT
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_calls_share_one_parser(monkeypatch, capsys):
+    # main builds its parser once per process; a call, a failed one
+    # included, must leave nothing behind that changes a later call, so each
+    # call here prints what a fresh process running that command alone prints
+    commands = [
+        ["determine", fixture("ex1"), "--json"],
+        ["determine", "--json"],  # usage error: no file
+        ["check-gain", fixture("ex6")],
+        ["analyze", fixture("ex5"), "--json"],
+        ["region", fixture("ex1"), "--xmin=-2", "--xmax=2", "--ymin=-2", "--ymax=2",
+         "--grid", "21"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this width
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    fresh = [
+        subprocess.Popen([sys.executable, "-m", "gaincap.cli", *argv], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for argv in commands
+    ]
+    builds = []
+    build = gaincap.cli.build_parser
+    monkeypatch.setattr(gaincap.cli, "build_parser", lambda: builds.append(1) or build())
+    gaincap.cli._parser.cache_clear()
+    shared = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        shared.append((captured.out, captured.err, code))
+    assert len(builds) == 1
+    assert [code for _, _, code in shared] == [EXIT_OK, EXIT_INPUT, EXIT_INADMISSIBLE, EXIT_OK,
+                                              EXIT_OK]
+    for proc, got in zip(fresh, shared):
+        out, err = proc.communicate(timeout=60)
+        assert got == (out, err, proc.returncode)
 
 
 def test_unknown_command(capsys):

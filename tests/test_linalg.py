@@ -102,3 +102,10 @@ def test_induced_inf_norm():
         x = rng.normal(size=4)
         x /= np.max(np.abs(x))
         assert np.max(np.abs(m @ x)) <= induced_inf_norm(m) + 1e-12
+
+
+def test_induced_inf_norm_overflow():
+    # finite entries, but no finite row sum
+    with pytest.raises(OverflowError, match="induced max-norm"):
+        induced_inf_norm([[1e308, -1e308], [0.0, 1.0]])
+    assert induced_inf_norm([[1e308, 0.0], [0.0, -1e308]]) == 1e308
