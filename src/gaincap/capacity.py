@@ -37,7 +37,7 @@ from .linalg import (
     rank,
     spectral_radius,
 )
-from .lp import UNBOUNDED, LpProblem, SimplexBudgetError, solve
+from .lp import UNBOUNDED, SimplexBudgetError, maximize
 
 __all__ = [
     "DETERMINED",
@@ -74,7 +74,8 @@ SETTLE_STRIDE = 64
 
 class DeterminationError(RuntimeError):
     """The determination loop could not finish a step: the LP solver gave
-    up, or an output row overflowed the floating-point range.
+    up or met a band row too small to scale against epsilon, or an output
+    row overflowed the floating-point range.
 
     Carries the step ``k`` and the 1-based signed constraint index ``s``
     that was being maximized when the loop stopped.
@@ -346,13 +347,11 @@ def _step(
     maximum."""
     if isinstance(stop_tol, bool) or not 0 <= stop_tol < np.inf:
         raise ValueError("stop_tol must be a nonnegative finite number")
-    g = np.vstack([constraint_stack, -constraint_stack])
-    h = np.full(g.shape[0], epsilon)
     values = []
     for j, row in enumerate(objective_block):
         try:
-            outcome = solve(LpProblem(row, g, h))
-        except SimplexBudgetError as err:
+            outcome = maximize(row, constraint_stack, epsilon)
+        except (SimplexBudgetError, OverflowError) as err:
             raise DeterminationError(
                 f"LP solver gave up at step {step}, signed constraint {2 * j + 1}: {err}",
                 step=step,
@@ -422,6 +421,8 @@ def stop_test(
     """
     if objective_step < 0:
         raise ValueError("objective_step must be nonnegative")
+    # a caller-built set enters here; the band LPs check epsilon themselves
+    as_matrix(cap.constraint_rows, "constraint rows")
     block = cap.constraint_rows[: cap.output_dim]
     for _ in range(int(objective_step)):
         block = _advance(block, cap.a_tilde, objective_step)
@@ -530,8 +531,9 @@ def analyze(
     # horizon >= n, so the first n blocks form the observability matrix
     rows = sensitivity_rows(sys, at, horizon)
     observable = rank(rows[: sys.n * sys.p]) == sys.n
-    radius = spectral_radius(at)
+    # the radius is at most the norm, so the norm's overflow is met first
     norm = induced_inf_norm(at)
+    radius = spectral_radius(at)
     decay_index = None
     if radius < 1.0:
         blocks = rows.reshape(int(horizon) + 1, sys.p, sys.n)

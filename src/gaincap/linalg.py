@@ -74,10 +74,14 @@ def controllability_matrix(a, b) -> np.ndarray:
 
 
 def spectral_radius(m) -> float:
-    """Largest eigenvalue magnitude of a square matrix."""
+    """Largest eigenvalue magnitude of a square matrix.  Raises
+    :class:`OverflowError` when it leaves the floating-point range."""
     m = as_matrix(m, "matrix")
     _require_square(m, "matrix")
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    radius = float(np.max(np.abs(np.linalg.eigvals(m))))
+    if radius == np.inf:
+        raise OverflowError("the spectral radius left the floating-point range")
+    return radius
 
 
 def induced_inf_norm(m) -> float:

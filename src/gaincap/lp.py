@@ -1,19 +1,20 @@
-"""Dense linear programming by a one-phase primal simplex.
+"""Dense linear programming over a symmetric band by a one-phase simplex.
 
-Problems are stated as: maximize c.x subject to G x <= h, x sign-free, with
-h >= 0 so that the origin is feasible.  Every LP of the fixpoint search has
-that form (the band is ``|row . x| <= epsilon`` with epsilon > 0), so the
-all-slack basis at the origin is the start vertex and no phase 1 is needed.
-Internally each free variable is split into a difference of two nonnegative
-variables and one slack is appended per constraint.
+Every LP of the fixpoint search asks for the largest value of ``c . x``
+over a band ``|s x| <= epsilon``, with x sign-free.  :func:`maximize` states
+it as ``[s; -s] x <= epsilon``; as epsilon >= 0 the origin is feasible, so
+the all-slack basis at the origin is the start vertex and no phase 1 is
+needed.  Internally each free variable is split into a difference of two
+nonnegative variables and one slack is appended per constraint.
 
 All simplex state lives in one compact tableau that keeps only the
 nonbasic columns.  At the origin it is ``[G | -G | h]`` over the
-reduced-cost row ``[c | -c | 0]``, with the right-hand side as the last
-column, and the label arrays ``basis`` and ``nonbasic`` name the variable
-of each row and of each column.  A pivot swaps two labels and writes the
-leaving variable's column where the entering one stood, so the unit
-columns of the basic variables are never stored.
+reduced-cost row ``[c | -c | 0]``, with ``G = [s; -s]``, the right-hand
+side ``h`` as the last column, and the label arrays ``basis`` and
+``nonbasic`` naming the variable of each row and of each column.  A pivot
+swaps two labels and writes the leaving variable's column where the
+entering one stood, so the unit columns of the basic variables are never
+stored.
 
 The entering column is Dantzig's: the one with the largest reduced cost.
 One ``argmax`` of the reduced-cost row both picks it and ends the phase:
@@ -45,16 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
-
-__all__ = [
-    "OPTIMAL",
-    "UNBOUNDED",
-    "LpProblem",
-    "LpOutcome",
-    "SimplexBudgetError",
-    "solve",
-]
+__all__ = ["OPTIMAL", "UNBOUNDED", "LpOutcome", "SimplexBudgetError", "maximize"]
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -67,36 +59,8 @@ class SimplexBudgetError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LpProblem:
-    """maximize objective . x  subject to  g x <= h  (x sign-free, h >= 0)."""
-
-    objective: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "objective", as_vector(self.objective, "objective"))
-        object.__setattr__(self, "g", as_matrix(self.g, "constraint matrix"))
-        object.__setattr__(self, "h", as_vector(self.h, "constraint bounds"))
-        if self.g.shape[1] != self.objective.shape[0]:
-            raise ValueError(
-                f"constraint matrix has {self.g.shape[1]} columns, "
-                f"objective has {self.objective.shape[0]}"
-            )
-        if self.g.shape[0] != self.h.shape[0]:
-            raise ValueError(
-                f"constraint matrix has {self.g.shape[0]} rows, "
-                f"bounds vector has {self.h.shape[0]}"
-            )
-        if (self.h < 0).any():
-            raise ValueError(
-                "constraint bounds must be nonnegative: the origin is the start vertex"
-            )
-
-
-@dataclass(frozen=True)
 class LpOutcome:
-    """Result of :func:`solve`; point/value are set only when optimal, and
+    """Result of :func:`maximize`; point/value are set only when optimal, and
     ``pivots`` counts the pivots taken on either outcome."""
 
     status: str
@@ -125,23 +89,39 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab -= np.multiply.outer(factors, tab[row])
 
 
-def solve(problem: LpProblem, iteration_budget: int | None = None) -> LpOutcome:
-    """Solve an :class:`LpProblem`.
+def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
+    """Maximize ``objective . x`` subject to ``|s x| <= epsilon``, x sign-free.
 
     Returns an :class:`LpOutcome` with status ``optimal`` (point and value
-    set) or ``unbounded``.  ``iteration_budget`` overrides the default
-    pivot budget of ``50 * (variables + constraints)``.
+    set) or ``unbounded``.  Raises :class:`OverflowError` when epsilon over
+    the largest entry of a row of ``s`` has no float value, as the scaled
+    tableau would then hold inf.
     """
-    c = problem.objective
+    epsilon = float(epsilon)
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError("epsilon must be finite and nonnegative: the origin is the start vertex")
+    # the largest scaled bound comes from the smallest nonzero row scale; a
+    # division of Python floats overflows to inf without a numpy warning
+    scale = np.abs(s).max(axis=1)
+    if epsilon / float(scale.min(where=scale > 0.0, initial=np.inf)) == np.inf:
+        raise OverflowError("epsilon over a band row's scale left the floating-point range")
+    g = np.vstack([s, -s])
+    return _simplex(objective, g, np.full(g.shape[0], epsilon))
+
+
+def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None) -> LpOutcome:
+    """Maximize ``c . x`` subject to ``g x <= h`` (x sign-free, h >= 0) from
+    float arrays.  ``iteration_budget`` overrides the default pivot budget
+    of ``50 * (variables + constraints)``."""
     n = c.shape[0]
-    r = problem.g.shape[0]
+    r = g.shape[0]
     budget = 50 * (n + r) if iteration_budget is None else int(iteration_budget)
 
     # row equilibration of [G | h] and objective scaling (exactly invertible)
-    row_scale = np.max(np.abs(problem.g), axis=1)
+    row_scale = np.max(np.abs(g), axis=1)
     row_scale[row_scale == 0.0] = 1.0
-    g = problem.g / row_scale[:, None]
-    h = problem.h / row_scale
+    g = g / row_scale[:, None]
+    h = h / row_scale
     obj_scale = float(np.max(np.abs(c)))
     if obj_scale == 0.0:
         obj_scale = 1.0

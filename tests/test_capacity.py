@@ -576,14 +576,14 @@ def test_one_lp_per_output_row(name, monkeypatch):
     # the band polyhedron is centrally symmetric, so each output row is
     # maximized once and +row and -row record the same value
     problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
-    original = gaincap.capacity.solve
+    original = gaincap.capacity.maximize
     calls = []
 
-    def counting_solve(lp_problem, *args, **kwargs):
-        calls.append(lp_problem)
-        return original(lp_problem, *args, **kwargs)
+    def counting_maximize(objective, s, epsilon):
+        calls.append(objective)
+        return original(objective, s, epsilon)
 
-    monkeypatch.setattr(gaincap.capacity, "solve", counting_solve)
+    monkeypatch.setattr(gaincap.capacity, "maximize", counting_maximize)
     loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {}
     cap = determine(
         problem.system, problem.gain, **loop,
@@ -604,24 +604,46 @@ def test_determine_pivot_count_tripwire(monkeypatch):
     a_tilde = 0.99 * q * np.sign(np.diag(r))
     c = rng.standard_normal((2, 8))
     c /= np.linalg.norm(c, axis=1, keepdims=True)
-    original = gaincap.capacity.solve
+    original = gaincap.capacity.maximize
     pivots = []
 
-    def counting_solve(lp_problem, *args, **kwargs):
-        outcome = original(lp_problem, *args, **kwargs)
+    def counting_maximize(objective, s, epsilon):
+        outcome = original(objective, s, epsilon)
         pivots.append(outcome.pivots)
         return outcome
 
-    monkeypatch.setattr(gaincap.capacity, "solve", counting_solve)
+    monkeypatch.setattr(gaincap.capacity, "maximize", counting_maximize)
     cap = determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
     assert (cap.k0, cap.status, len(pivots)) == (47, DETERMINED, 96)
     assert sum(pivots) == 1281
 
 
 def test_stop_test_rejects_negative_band():
-    cap = dataclasses.replace(determine(two_state(), two_state_gain()), epsilon=-0.5)
-    with pytest.raises(ValueError, match="origin is the start vertex"):
-        stop_test(cap, 1)
+    cap = determine(two_state(), two_state_gain())
+    for epsilon in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="origin is the start vertex"):
+            stop_test(dataclasses.replace(cap, epsilon=epsilon), 1)
+    # a caller-built set is checked before its first row is advanced
+    for bad in (math.nan, math.inf):
+        for index in ((0, 1), (-1, 0)):
+            rows = np.array(cap.constraint_rows)
+            rows[index] = bad
+            for objective_step in (0, 2):
+                with pytest.raises(ValueError, match="constraint rows"):
+                    stop_test(dataclasses.replace(cap, constraint_rows=rows), objective_step)
+
+
+def test_subnormal_band_row_stops_determination():
+    # the row [0, 1e-309] of step 1 has a subnormal scale: epsilon over it is
+    # inf, so no equilibrated tableau exists and step 1 cannot be decided
+    a_tilde = [[0.0, 1e-309], [0.0, 1.0]]
+    sys_ = SystemSpec(a_tilde, None, [[1.0, 0.0]], [0.1, 0.1], 1.0)
+    with pytest.raises(DeterminationError, match="floating-point range") as err:
+        determine(sys_, a_tilde=a_tilde)
+    assert (err.value.step, err.value.constraint) == (1, 1)
+    a_tilde[0][1] = 1e-300
+    cap = determine(sys_, a_tilde=a_tilde)
+    assert (cap.status, cap.k0) == (DETERMINED, 1)
 
 
 def test_membership_symmetry_and_midpoints():

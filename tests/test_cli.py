@@ -248,6 +248,25 @@ def test_overflowing_rows_exit_input(command, tmp_path, capsys):
     )
 
 
+def test_subnormal_band_row_exits_input(tmp_path, capsys):
+    # the row C A~ = [0, 1e-309] has a subnormal scale, so epsilon over it
+    # overflows and the LP of step 1 has no finite tableau
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps({
+        "n": 2, "p": 1, "A": [[0, 1e-309], [0, 1]], "A_tilde": [[0, 1e-309], [0, 1]],
+        "C": [[1, 0]], "tau0": [0.1, 0.1], "epsilon": 1,
+    }), encoding="utf-8")
+    code = main(["determine", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == (
+        "gaincap: determination failed at step 1, constraint 1: LP solver gave up "
+        "at step 1, signed constraint 1: epsilon over a band row's scale left the "
+        "floating-point range\n"
+    )
+
+
 @pytest.mark.parametrize("args, message", [
     (["analyze"], "output rows left the floating-point range at step 2"),
     (["simulate", "--alpha", "1", "--beta", "0,0", "--steps", "3"],

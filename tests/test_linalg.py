@@ -109,3 +109,10 @@ def test_induced_inf_norm_overflow():
     with pytest.raises(OverflowError, match="induced max-norm"):
         induced_inf_norm([[1e308, -1e308], [0.0, 1.0]])
     assert induced_inf_norm([[1e308, 0.0], [0.0, -1e308]]) == 1e308
+
+
+def test_spectral_radius_overflow():
+    # finite entries, but the eigenvalue 2e308 is not
+    with pytest.raises(OverflowError, match="spectral radius"):
+        spectral_radius([[1e308, 1e308], [1e308, 1e308]])
+    assert spectral_radius([[1e308, 0.0], [0.0, -1.7e308]]) == 1.7e308

@@ -5,45 +5,78 @@ from gaincap.lp import (
     OPTIMAL,
     UNBOUNDED,
     LpOutcome,
-    LpProblem,
     SimplexBudgetError,
-    solve,
+    _simplex,
+    maximize,
 )
 from oracles import exact_maximize, polygon_maximize
 
-BOX = LpProblem([1.0, 0.0], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+
+def simplex(objective, g, h, iteration_budget=None):
+    """The simplex core on a general origin-feasible program ``g x <= h``."""
+    arrays = (np.array(v, dtype=float) for v in (objective, g, h))
+    return _simplex(*arrays, iteration_budget)
+
+
+BOX_G = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+BOX_H = [1, 1, 1, 1]
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError, match="columns"):
-        LpProblem([1.0], [[1, 2]], [1.0])
-    with pytest.raises(ValueError, match="rows"):
-        LpProblem([1.0, 2.0], [[1, 2]], [1.0, 2.0])
-    with pytest.raises(ValueError, match="origin is the start vertex"):
-        LpProblem([1.0], [[1.0], [-1.0]], [1.0, -1.0])
+    # the band bound must be a finite epsilon >= 0, so the origin is feasible
+    for epsilon in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="origin is the start vertex"):
+            maximize(np.ones(1), np.ones((1, 1)), epsilon)
+
+
+def test_maximize_solves_the_stacked_band():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        s = rng.integers(-3, 4, size=(int(rng.integers(1, 2 * n + 1)), n)).astype(float)
+        c = rng.normal(size=n)
+        eps = float(rng.uniform(0.0, 2.0))
+        band = maximize(c, s, eps)
+        general = simplex(c, np.vstack([s, -s]), np.full(2 * s.shape[0], eps))
+        assert (band.status, band.value, band.pivots) == (
+            general.status, general.value, general.pivots
+        )
+        if band.status == OPTIMAL:
+            assert band.point.tobytes() == general.point.tobytes()
+
+
+def test_maximize_refuses_unscalable_band_row():
+    # epsilon over the subnormal scale 1e-309 overflows, so the equilibrated
+    # bound would be inf; a zero row, whose scale is taken as 1, is fine
+    s = np.array([[1.0, 0.0], [0.0, 1e-309], [0.0, 0.0]])
+    with pytest.raises(OverflowError, match="floating-point range"):
+        maximize(np.array([0.0, 1e-309]), s, 1.0)
+    assert maximize(np.array([0.0, 1e-309]), s, 0.0).value == 0.0
+    s[1, 1] = 1e-300
+    assert maximize(np.array([0.0, 1e-300]), s, 1.0).value == pytest.approx(1.0)
 
 
 def test_box_maximum():
-    out = solve(BOX)
+    out = simplex([1.0, 0.0], BOX_G, BOX_H)
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-12)
     assert out.point[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diagonal_objective_on_box():
-    out = solve(LpProblem([1.0, 1.0], BOX.g, BOX.h))
+    out = simplex([1.0, 1.0], BOX_G, BOX_H)
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_unbounded():
-    out = solve(LpProblem([1.0, 0.0], [[0, 1]], [1.0]))
+    out = simplex([1.0, 0.0], [[0, 1]], [1.0])
     assert out.status == UNBOUNDED
     assert out.point is None and out.value is None
     assert out.pivots == 0
     # x1 enters first (largest reduced cost) and reaches its bound; then x0
     # has no bound
-    assert solve(LpProblem([0.5, 1.0], [[0, 1]], [1.0])) == LpOutcome(UNBOUNDED, pivots=1)
+    assert simplex([0.5, 1.0], [[0, 1]], [1.0]) == LpOutcome(UNBOUNDED, pivots=1)
 
 
 def test_capacity_style_value():
@@ -55,19 +88,19 @@ def test_capacity_style_value():
     r1 = c_row @ a_tilde
     g = np.vstack([c_row, -c_row, r1, -r1])
     h = np.full(4, 0.4)
-    out = solve(LpProblem(r1 @ a_tilde, g, h))
+    out = simplex(r1 @ a_tilde, g, h)
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(0.12, abs=1e-9)
 
 
 def test_budget_error():
     # the optimum of [1, 1] on the box takes exactly two pivots
-    corner = LpProblem([1.0, 1.0], BOX.g, BOX.h)
+    corner = ([1.0, 1.0], BOX_G, BOX_H)
     for budget in (-1, 0, 1):
         with pytest.raises(SimplexBudgetError, match=f"pivot budget of {budget} exhausted"):
-            solve(corner, iteration_budget=budget)
-    assert solve(corner, iteration_budget=2).value == 2.0
-    assert solve(corner).pivots == 2
+            simplex(*corner, iteration_budget=budget)
+    assert simplex(*corner, iteration_budget=2).value == 2.0
+    assert simplex(*corner).pivots == 2
 
 
 # Beale's (1955) and Chvatal's (1983) examples, on which the largest-
@@ -94,14 +127,14 @@ def test_cycling_examples(objective, rows, optimum, reverse):
     h = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     if reverse:
         g, h = g[::-1], h[::-1]
-    out = solve(LpProblem(objective, g, h))
+    out = simplex(objective, g, h)
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(optimum, abs=1e-12)
     # a small budget hands the rest of the path to Bland's rule part way:
     # the answer is the optimum or a budget error, never a wrong vertex
     for budget in range(6, 30):
         try:
-            assert solve(LpProblem(objective, g, h), budget).value == pytest.approx(optimum)
+            assert simplex(objective, g, h, budget).value == pytest.approx(optimum)
         except SimplexBudgetError:
             pass
 
@@ -114,7 +147,7 @@ def test_dantzig_cycle_falls_back_to_bland():
     g = np.vstack(
         [[[-2.0, -9.0, 0.25, 0.25], [1.0, 9.0, 0.25, 1.0], [0.25, -0.5, -3.0, 0.5]], -np.eye(4)]
     )
-    out = solve(LpProblem([-0.5, -9.0, -9.0, 1.0], g, np.zeros(7)))
+    out = simplex([-0.5, -9.0, -9.0, 1.0], g, np.zeros(7))
     assert (out.status, out.value, out.pivots) == (OPTIMAL, 0.0, 275 + 3)
 
 
@@ -135,9 +168,9 @@ def test_non_finite_tableau_keeps_full_scan_decisions(objective, rows, bounds, p
     with np.errstate(all="ignore"):
         if pivots is None:
             with pytest.raises(SimplexBudgetError, match="budget of 150 exhausted"):
-                solve(LpProblem(objective, rows, bounds))
+                simplex(objective, rows, bounds)
         else:
-            assert solve(LpProblem(objective, rows, bounds)) == LpOutcome(UNBOUNDED, pivots=pivots)
+            assert simplex(objective, rows, bounds) == LpOutcome(UNBOUNDED, pivots=pivots)
 
 
 def random_lps(seed, count):
@@ -165,7 +198,7 @@ def random_lps(seed, count):
 def test_matches_exact_oracle():
     statuses, pivots = [], 0
     for c, g, h in random_lps(6, 210):
-        out = solve(LpProblem(c, g, h))
+        out = simplex(c, g, h)
         status, value = exact_maximize(c, g, h)
         assert out.status == status
         statuses.append(status)
@@ -185,7 +218,7 @@ def test_returned_point_is_feasible():
         g = rng.normal(size=(int(rng.integers(1, 10)), n))
         h = np.abs(rng.normal(size=g.shape[0]))
         c = rng.normal(size=n)
-        out = solve(LpProblem(c, g, h))
+        out = simplex(c, g, h)
         if out.status == OPTIMAL:
             assert np.all(g @ out.point <= h + 1e-7)
             assert out.value == pytest.approx(float(c @ out.point), abs=1e-12)
@@ -195,7 +228,7 @@ def test_origin_feasible_never_infeasible():
     rng = np.random.default_rng(8)
     for _ in range(50):
         g = rng.normal(size=(int(rng.integers(1, 8)), 3))
-        out = solve(LpProblem(rng.normal(size=3), g, np.full(g.shape[0], 1.0)))
+        out = simplex(rng.normal(size=3), g, np.full(g.shape[0], 1.0))
         assert out.status in (OPTIMAL, UNBOUNDED)
         if out.status == OPTIMAL:
             assert out.value >= -1e-9
@@ -207,7 +240,7 @@ def test_matches_polygon_oracle():
         g = rng.normal(size=(int(rng.integers(1, 9)), 2))
         h = rng.uniform(0.1, 3.0, size=g.shape[0])
         c = rng.normal(size=2)
-        out = solve(LpProblem(c, g, h))
+        out = simplex(c, g, h)
         status, value = polygon_maximize(c, g, h)
         assert out.status == status
         if status == OPTIMAL:
@@ -218,12 +251,12 @@ def test_row_scaling_invariance():
     g = np.array([[1.0, 1.0], [-1.0, 2.0], [0.5, -1.0]])
     h = np.array([2.0, 3.0, 1.0])
     c = np.array([1.0, 0.3])
-    base = solve(LpProblem(c, g, h))
+    base = simplex(c, g, h)
     scale = np.array([1e8, 1e-8, 1.0])
-    scaled = solve(LpProblem(c, g * scale[:, None], h * scale))
+    scaled = simplex(c, g * scale[:, None], h * scale)
     assert base.status == scaled.status == OPTIMAL
     assert scaled.value == pytest.approx(base.value, rel=1e-9)
-    boosted = solve(LpProblem(c * 1e6, g, h))
+    boosted = simplex(c * 1e6, g, h)
     assert boosted.value == pytest.approx(base.value * 1e6, rel=1e-9)
 
 
@@ -247,6 +280,6 @@ def test_survives_wide_coefficient_range():
         rows.append(block)
     stacked = np.vstack(rows)
     g = np.vstack([stacked, -stacked])
-    out = solve(LpProblem((block @ a)[0], g, np.full(g.shape[0], 0.9)))
+    out = simplex((block @ a)[0], g, np.full(g.shape[0], 0.9))
     assert out.status == OPTIMAL
     assert out.value > 0.9  # the unstable mode keeps the band violated
