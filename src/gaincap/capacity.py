@@ -74,8 +74,8 @@ SETTLE_STRIDE = 64
 
 class DeterminationError(RuntimeError):
     """The determination loop could not finish a step: the LP solver gave
-    up or met a band row too small to scale against epsilon, or an output
-    row overflowed the floating-point range.
+    up, met a band row too small to scale against epsilon or found a maximum
+    past the floating-point range, or an output row overflowed that range.
 
     Carries the step ``k`` and the 1-based signed constraint index ``s``
     that was being maximized when the loop stopped.
@@ -353,7 +353,7 @@ def _step(
             outcome = maximize(row, constraint_stack, epsilon)
         except (SimplexBudgetError, OverflowError) as err:
             raise DeterminationError(
-                f"LP solver gave up at step {step}, signed constraint {2 * j + 1}: {err}",
+                f"LP solver gave up: {err}",
                 step=step,
                 constraint=2 * j + 1,
             ) from err
@@ -611,16 +611,66 @@ def simulate(
     return Trajectory(states=states, inputs=inputs, outputs=outputs)
 
 
+def _row_runs(rows: np.ndarray, bound: float, xs: np.ndarray, ys: np.ndarray):
+    """Each raster row's run of inside cells ``[first, stop)``, and whether
+    the cells evaluated beside its estimated ends settle it."""
+    grid = xs.shape[0]
+    r0, r1 = rows[:, 0], rows[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # slab r holds the x between (+-bound - r1 y) / r0 on row y
+        ends = (np.array([-bound, bound])[:, None, None] - np.multiply.outer(ys, r1)) / r0
+        first = np.searchsorted(xs, ends.min(axis=0).max(axis=1))
+        stop = np.searchsorted(xs, ends.max(axis=0).min(axis=1), side="right")
+        # two cells on each side of each estimated end, all in one product
+        beside = np.arange(-2, 2)
+        near = np.clip(np.hstack([first[:, None] + beside, stop[:, None] + beside]), 0, grid - 1)
+        points = np.empty((near.size, 2))
+        points[:, 0] = xs[near.ravel()]
+        points[:, 1] = np.repeat(ys, near.shape[1])
+        values = (points @ rows.T).reshape(*near.shape, -1)
+    magnitude = np.abs(values)
+    inside = np.all(magnitude <= bound, axis=-1)
+    # a cell outside slab r on the side that r0 x + r1 y falls toward as x
+    # decreases has every cell on its left outside too, and likewise right
+    outside = magnitude > bound
+    below = values < 0.0
+    rising, falling = r0 > 0.0, r0 < 0.0
+    left_out = (outside & np.where(below, ~falling, ~rising)).any(axis=-1)
+    right_out = (outside & np.where(below, ~rising, ~falling)).any(axis=-1)
+    first = np.where(left_out, near, -1).max(axis=1) + 1
+    stop = np.where(right_out, near, grid).min(axis=1)
+    # the run is [first, stop) when both cells beside it are inside, and
+    # empty when the two outside sides meet
+    settled = (stop <= first) | (
+        (inside & (near == first[:, None])).any(axis=1)
+        & (inside & (near == stop[:, None] - 1)).any(axis=1)
+    )
+    settled &= bool(np.all(xs[1:] >= xs[:-1]))
+    return first, stop, settled
+
+
 def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
     """Rasterize a planar capacity set over a rectangle.
 
     Returns a boolean array indexed [row, column] = [y index, x index] with
-    both axes sampled on ``grid`` evenly spaced points, ranges inclusive.
+    both axes sampled on ``grid`` evenly spaced points, ranges inclusive.  A
+    cell is inside when ``|r . (x, y)| <= epsilon + MEMBERSHIP_TOL`` for every
+    constraint row r, with the values of one matrix product of the points
+    and the rows.
+
+    Each raster row is one run of inside cells.  Along a row every value
+    ``r0 x + r1 y`` is monotone in x, as the xs are sorted and rounding is
+    monotone, so each slab and their intersection meet the row in one run.
+    Its ends are estimated in closed form and decided by the cells beside
+    them; a row those cells do not settle is evaluated cell by cell.  Beyond
+    O(grid) floats the working memory is the raster and one temporary of
+    the same size.
     """
-    if cap.constraint_rows.shape[1] != 2:
+    rows = cap.constraint_rows
+    if rows.shape[1] != 2:
         raise ValueError(
             "region sampling requires a two-state system, got "
-            f"{cap.constraint_rows.shape[1]} states"
+            f"{rows.shape[1]} states"
         )
     if int(grid) < 2:
         raise ValueError("grid must be at least 2")
@@ -630,10 +680,18 @@ def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
         raise ValueError("ranges must have finite bounds")
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("ranges must be nonempty intervals")
-    xs = np.linspace(x_lo, x_hi, int(grid))
-    ys = np.linspace(y_lo, y_hi, int(grid))
-    pts = np.stack(np.meshgrid(xs, ys), axis=-1)  # (grid, grid, 2), [iy, ix]
-    values = np.abs(pts @ cap.constraint_rows.T)
-    raster = np.all(values <= cap.epsilon + MEMBERSHIP_TOL, axis=-1)
+    grid = int(grid)
+    xs = np.linspace(x_lo, x_hi, grid)
+    ys = np.linspace(y_lo, y_hi, grid)
+    bound = cap.epsilon + MEMBERSHIP_TOL
+    first, stop, settled = _row_runs(rows, bound, xs, ys)
+    columns = np.arange(grid)
+    raster = columns >= first[:, None]
+    raster &= columns < stop[:, None]
+    unsettled = np.flatnonzero(~settled)
+    if unsettled.size:
+        pts = np.stack(np.meshgrid(xs, ys[unsettled]), axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raster[unsettled] = np.all(np.abs(pts @ rows.T) <= bound, axis=-1)
     raster.setflags(write=False)
     return raster

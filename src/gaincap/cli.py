@@ -87,19 +87,19 @@ def _fmt(value: float) -> str:
 
 
 def _grid_row(
-    x_text: list[str], row: np.ndarray, cells: tuple[tuple[str, str] | None, ...]
+    x_text: list[str], first: int, stop: int, cells: tuple[tuple[str, str] | None, ...]
 ) -> str:
-    """The text of one raster row.  Cell ``ix`` with value ``bit`` is
-    ``head + x_text[ix] + tail`` for ``(head, tail) = cells[bit]``, or
-    nothing when ``cells[bit]`` is None; each run of equal cells is one
+    """The text of one raster row whose inside cells are the run
+    ``[first, stop)``.  Cell ``ix`` with value ``bit`` is ``head + x_text[ix]
+    + tail`` for ``(head, tail) = cells[bit]``, or nothing when ``cells[bit]``
+    is None; each of the row's at most three runs of equal cells is one
     ``str.join`` over the x texts."""
-    cuts = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), len(row)]
     parts = []
-    for start, stop in zip(cuts, cuts[1:]):
-        cell = cells[int(row[start])]
-        if cell is not None:
+    runs = ((0, first, cells[0]), (first, stop, cells[1]), (stop, len(x_text), cells[0]))
+    for start, end, cell in runs:
+        if start < end and cell is not None:
             head, tail = cell
-            parts += [head, (tail + head).join(x_text[start:stop]), tail]
+            parts += [head, (tail + head).join(x_text[start:end]), tail]
     return "".join(parts)
 
 
@@ -436,9 +436,10 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _svg(raster: np.ndarray, xs: np.ndarray, ys: np.ndarray, tau0: np.ndarray):
+def _svg(runs: list[tuple[int, int]], xs: np.ndarray, ys: np.ndarray, tau0: np.ndarray):
     """Self-contained SVG as text chunks of whole lines, one chunk per raster
-    row: member cells filled, key vectors marked."""
+    row given as its run of member cells: member cells filled, key vectors
+    marked."""
     size = 640.0
     margin = 40.0
     x_lo, x_hi = float(xs[0]), float(xs[-1])
@@ -463,8 +464,8 @@ def _svg(raster: np.ndarray, xs: np.ndarray, ys: np.ndarray, tau0: np.ndarray):
     x_text = [f"{px(x) - cell / 2:.2f}" for x in xs.tolist()]
     y_text = [f"{py(y) - cell / 2:.2f}" for y in ys.tolist()]
     size_text = f'width="{cell:.2f}" height="{cell:.2f}" fill="#7fbf7f"/>'
-    for y, row in zip(y_text, raster):
-        yield _grid_row(x_text, row, (None, ('<rect x="', f'" y="{y}" {size_text}\n')))
+    for y, (first, stop) in zip(y_text, runs):
+        yield _grid_row(x_text, first, stop, (None, ('<rect x="', f'" y="{y}" {size_text}\n')))
     markers = [("tau0", float(tau0[0]), float(tau0[1])), ("e1", 1.0, 0.0), ("e2", 0.0, 1.0)]
     for label, mx, my in markers:
         if x_lo <= mx <= x_hi and y_lo <= my <= y_hi:
@@ -493,6 +494,9 @@ def cmd_region(args) -> int:
     raster = region_sample(cap, (args.xmin, args.xmax), (args.ymin, args.ymax), args.grid)
     xs = np.linspace(args.xmin, args.xmax, args.grid)
     ys = np.linspace(args.ymin, args.ymax, args.grid)
+    # each raster row is one run of inside cells
+    first = raster.argmax(axis=1)
+    runs = list(zip(first.tolist(), (first + raster.sum(axis=1)).tolist()))
     if args.json:
         print(
             json.dumps(
@@ -509,10 +513,10 @@ def cmd_region(args) -> int:
         x_text = [_fmt(x) for x in xs.tolist()]
         write = sys.stdout.write
         write("x,y,inside\n")
-        for y, row in zip(map(_fmt, ys.tolist()), raster):
-            write(_grid_row(x_text, row, (("", f",{y},0\n"), ("", f",{y},1\n"))))
+        for y, (first, stop) in zip(map(_fmt, ys.tolist()), runs):
+            write(_grid_row(x_text, first, stop, (("", f",{y},0\n"), ("", f",{y},1\n"))))
     if args.svg:
-        svg = _svg(raster, xs, ys, problem.system.tau0)
+        svg = _svg(runs, xs, ys, problem.system.tau0)
         try:
             with open(args.svg, "w", encoding="utf-8") as fh:
                 fh.writelines(svg)

@@ -42,6 +42,7 @@ reported value is recomputed from the caller's own data.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
+_NEAR_OVERFLOW = float(np.finfo(float).max) / 16
 
 
 class SimplexBudgetError(RuntimeError):
@@ -95,7 +97,7 @@ def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
     Returns an :class:`LpOutcome` with status ``optimal`` (point and value
     set) or ``unbounded``.  Raises :class:`OverflowError` when epsilon over
     the largest entry of a row of ``s`` has no float value, as the scaled
-    tableau would then hold inf.
+    tableau would then hold inf, and when the maximum has none.
     """
     epsilon = float(epsilon)
     if not 0.0 <= epsilon < np.inf:
@@ -112,7 +114,8 @@ def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
 def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None) -> LpOutcome:
     """Maximize ``c . x`` subject to ``g x <= h`` (x sign-free, h >= 0) from
     float arrays.  ``iteration_budget`` overrides the default pivot budget
-    of ``50 * (variables + constraints)``."""
+    of ``50 * (variables + constraints)``.  Raises :class:`OverflowError`
+    when the maximum has no float value."""
     n = c.shape[0]
     r = g.shape[0]
     budget = 50 * (n + r) if iteration_budget is None else int(iteration_budget)
@@ -167,4 +170,13 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
     x_split[basis] = rhs
     x = x_split[:n] - x_split[n : 2 * n]
     x.setflags(write=False)
-    return LpOutcome(OPTIMAL, point=x, value=float(c @ x), pivots=pivots)
+    # the tableau holds minus the scaled maximum: only a maximum near the
+    # float range needs c @ x guarded, and one past it raises, not warns
+    if abs(float(tab[-1, -1])) * obj_scale < _NEAR_OVERFLOW:
+        value = float(c @ x)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(c @ x)
+        if not math.isfinite(value):
+            raise OverflowError("the maximum left the floating-point range")
+    return LpOutcome(OPTIMAL, point=x, value=value, pivots=pivots)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -561,6 +562,103 @@ def test_region_sample_validation():
     cap5 = determine(sys5, a_tilde=np.eye(3) * 0.5)
     with pytest.raises(ValueError, match="two-state"):
         region_sample(cap5, (-1.0, 1.0), (-1.0, 1.0), 3)
+
+
+def fixture_capacity(name):
+    problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
+    loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {}
+    return determine(problem.system, problem.gain, **loop, stop_tol=problem.options.stop_tol)
+
+
+TWO_STATE_FIXTURES = [f"ex{i}" for i in (1, 2, 3, 4, 6, 7, 8, 10)]
+
+
+def region_reference(rows, epsilon, x_range, y_range, grid):
+    """The raster as the full grid of points times the rows, cell by cell.
+    The rows of points go through the product a block at a time, so large
+    grids stay small in memory; each raster row is still one product of
+    ``grid`` points, as in a single product over the whole grid."""
+    xs = np.linspace(*x_range, grid)
+    ys = np.linspace(*y_range, grid)
+    raster = np.empty((grid, grid), dtype=bool)
+    for start in range(0, grid, 64):
+        pts = np.stack(np.meshgrid(xs, ys[start : start + 64]), axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.abs(pts @ rows.T)
+        raster[start : start + 64] = np.all(values <= epsilon + 1e-12, axis=-1)
+    return raster
+
+
+def assert_region_exact(cap, x_range, y_range, grid):
+    raster = region_sample(cap, x_range, y_range, grid)
+    expected = region_reference(cap.constraint_rows, cap.epsilon, x_range, y_range, grid)
+    assert np.array_equal(raster, expected), (x_range, y_range, grid)
+    # each row is one run of inside cells: at most one rise and one fall
+    edges = np.diff(raster.astype(np.int8), axis=1, prepend=0, append=0)
+    assert ((edges == 1).sum(axis=1) <= 1).all() and ((edges == -1).sum(axis=1) <= 1).all()
+    return raster
+
+
+@pytest.mark.parametrize("name", TWO_STATE_FIXTURES)
+def test_region_sample_matches_full_grid(name):
+    cap = fixture_capacity(name)
+    rng = np.random.default_rng(int(name[2:]))
+    for grid in (2, 3, 7, 50, 401, 1001):
+        for _ in range(2 if grid == 1001 else 5):
+            # windows from a tenth of the set's size to thirty times it,
+            # anywhere from around the origin to well off it
+            scale = 10.0 ** rng.uniform(-1.0, 1.5)
+            center = rng.normal(0.0, scale, 2)
+            half = rng.uniform(0.1, 2.0, 2) * scale
+            assert_region_exact(
+                cap, (center[0] - half[0], center[0] + half[0]),
+                (center[1] - half[1], center[1] + half[1]), grid,
+            )
+
+
+def test_region_sample_matches_full_grid_on_edge_sets():
+    base = fixture_capacity("ex6")
+    rng = np.random.default_rng(23)
+
+    def with_rows(rows):
+        return dataclasses.replace(base, constraint_rows=np.array(rows, dtype=float))
+
+    rows = base.constraint_rows.copy()
+    zero_x = rows.copy()
+    zero_x[2, 0] = 0.0
+    tiny_x = rows.copy()
+    tiny_x[3, 0] = 1e-18
+    nan_row = rows.copy()
+    nan_row[1] = np.nan
+    sets = [with_rows(zero_x), with_rows(tiny_x), with_rows(nan_row), with_rows(rows[:1]),
+            with_rows([[0.0, 1.0]]), with_rows([[1.0, 0.0]])]
+    for cap in sets:
+        for grid in (2, 3, 7, 50, 401):
+            for _ in range(3):
+                center = rng.normal(0.0, 1.0, 2)
+                half = rng.uniform(0.2, 3.0, 2)
+                assert_region_exact(
+                    cap, (center[0] - half[0], center[0] + half[0]),
+                    (center[1] - half[1], center[1] + half[1]), grid,
+                )
+    # a window away from the set is empty, one inside it full
+    assert not assert_region_exact(base, (40.0, 41.0), (-0.5, 0.5), 50).any()
+    assert not assert_region_exact(base, (-0.5, 0.5), (60.0, 70.0), 50).any()
+    assert assert_region_exact(base, (-0.1, 0.1), (-0.1, 0.1), 50).all()
+
+
+def test_region_sample_memory():
+    # the raster of a convex set is one run per row, so the peak is a few
+    # booleans per cell; the full product of the grid and the rows would
+    # hold over a hundred bytes per cell on ex6's six rows
+    cap = fixture_capacity("ex6")
+    tracemalloc.start()
+    try:
+        region_sample(cap, (-2.0, 2.0), (-2.0, 2.0), 601)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 601**2
 
 
 def test_stop_test_persists_after_determination():

@@ -261,9 +261,26 @@ def test_subnormal_band_row_exits_input(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert captured.err == (
-        "gaincap: determination failed at step 1, constraint 1: LP solver gave up "
-        "at step 1, signed constraint 1: epsilon over a band row's scale left the "
-        "floating-point range\n"
+        "gaincap: determination failed at step 1, constraint 1: LP solver gave up: "
+        "epsilon over a band row's scale left the floating-point range\n"
+    )
+
+
+def test_overflowing_maximum_exits_input(tmp_path, capsys):
+    # step 0 maximizes C A~ = [1e300, 0] over |x_1| <= 1e10: the maximum 1e310
+    # has no float value, and numpy's overflow warning must not escape
+    path = tmp_path / "maximum.json"
+    path.write_text(json.dumps({
+        "n": 2, "p": 1, "A": [[1e300, 0], [0, 0]], "A_tilde": [[1e300, 0], [0, 0]],
+        "C": [[1, 0]], "tau0": [0.1, 0.1], "epsilon": 1e10,
+    }), encoding="utf-8")
+    code = main(["determine", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == (
+        "gaincap: determination failed at step 0, constraint 1: LP solver gave up: "
+        "the maximum left the floating-point range\n"
     )
 
 

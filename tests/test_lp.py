@@ -56,6 +56,20 @@ def test_maximize_refuses_unscalable_band_row():
     assert maximize(np.array([0.0, 1e-300]), s, 1.0).value == pytest.approx(1.0)
 
 
+def test_maximum_past_the_float_range_raises():
+    # max 1e300 x_1 over |x_1| <= 1e10 is 1e310; numpy's overflow warning (an
+    # error under pytest's filterwarnings) must not escape, and a maximum
+    # just inside the range is still returned as c @ x
+    s = np.array([[1.0, 0.0]])
+    with pytest.raises(OverflowError, match="maximum left the floating-point range"):
+        maximize(np.array([1e300, 0.0]), s, 1e10)
+    with pytest.raises(OverflowError, match="maximum left the floating-point range"):
+        simplex([1e300, 1e300], BOX_G, [1e8, 1e8, 1e8, 1e8])
+    assert maximize(np.array([1e300, 0.0]), s, 1e8).value == 1e308
+    out = simplex([1e300, 1e300], BOX_G, [1e7, 1e7, 1e7, 1e7])
+    assert out.value == float(np.array([1e300, 1e300]) @ out.point) == pytest.approx(2e307)
+
+
 def test_box_maximum():
     out = simplex([1.0, 0.0], BOX_G, BOX_H)
     assert out.status == OPTIMAL
