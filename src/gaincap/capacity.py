@@ -630,8 +630,9 @@ def _row_runs(rows: np.ndarray, bound: float, xs: np.ndarray, ys: np.ndarray):
         values = (points @ rows.T).reshape(*near.shape, -1)
     magnitude = np.abs(values)
     inside = np.all(magnitude <= bound, axis=-1)
-    # a cell outside slab r on the side that r0 x + r1 y falls toward as x
-    # decreases has every cell on its left outside too, and likewise right
+    # a cell outside slab r on the side its value moves toward as x decreases
+    # (either side when r0 = 0) has every cell on its left outside too, and
+    # likewise right
     outside = magnitude > bound
     below = values < 0.0
     rising, falling = r0 > 0.0, r0 < 0.0
@@ -639,12 +640,14 @@ def _row_runs(rows: np.ndarray, bound: float, xs: np.ndarray, ys: np.ndarray):
     right_out = (outside & np.where(below, ~rising, ~falling)).any(axis=-1)
     first = np.where(left_out, near, -1).max(axis=1) + 1
     stop = np.where(right_out, near, grid).min(axis=1)
-    # the run is [first, stop) when both cells beside it are inside, and
-    # empty when the two outside sides meet
+    # the run is [first, stop) when its end cells first and stop - 1 were
+    # found inside, and empty when the cells outside on either side meet
     settled = (stop <= first) | (
         (inside & (near == first[:, None])).any(axis=1)
         & (inside & (near == stop[:, None] - 1)).any(axis=1)
     )
+    # values are monotone along a row only over sorted xs, which a window
+    # whose width overflows does not give
     settled &= bool(np.all(xs[1:] >= xs[:-1]))
     return first, stop, settled
 

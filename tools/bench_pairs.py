@@ -1,19 +1,19 @@
 """Alternating parent/change pairs of perfbench/run.py, written as BENCH_<tag>.json.
 
-    python3 tools/bench_pairs.py --tag pr12 --parent HEAD~1 --change HEAD \\
+    python3 tools/bench_pairs.py --tag mine --parent HEAD~1 --change HEAD \\
         --group cli:1301-1310 --group ladder:1311-1320 --seconds 25 \\
         --trace cli:201 --description "what the change is"
 
 Each side runs from its own local ``git clone`` of this repository, checked
-out at its commit in a scratch directory, so both sides run their committed
+out at its commit in a temporary directory, so both sides run their committed
 files only and nothing is fetched.  (A ``git worktree`` would do as well,
 but its ``.git`` is a file, and run.py then records the commit as unknown.)
 
 Per group ``WORKLOAD:FIRST-LAST`` one pair runs per seed, each side for
 ``--seconds`` with ``--trace 0``, and the side that runs first alternates
 from pair to pair.  ``--trace WORKLOAD:SEED`` adds a group ``trace-WORKLOAD``
-of one ``--trace 1 --seconds 2`` run per side.  The file is rewritten after every run, so a cut session
-keeps the runs it finished.
+of one ``--trace 1 --seconds 2`` run per side.  The file is rewritten after
+every run, so an interrupted script keeps the runs it finished.
 
 The record keeps, per run, its group, workload, seed, side, commit, pair,
 order (0 for the side that ran first), trace flag, exit code and run.py's
