@@ -48,7 +48,7 @@ from .capacity import (
     check_gain,
     closed_loop,
     determine,
-    region_sample,
+    region_runs,
     simulate,
 )
 
@@ -490,13 +490,13 @@ def cmd_region(args) -> int:
         raise InputError("--xmin, --xmax, --ymin and --ymax must be finite numbers")
     if not (args.xmin < args.xmax) or not (args.ymin < args.ymax):
         raise InputError("ranges must satisfy xmin < xmax and ymin < ymax")
+    if not (math.isfinite(args.xmax - args.xmin) and math.isfinite(args.ymax - args.ymin)):
+        raise InputError("xmax - xmin and ymax - ymin must be within the floating-point range")
     cap = determine(problem.system, **_loop(problem), **_limits(problem, args))
-    raster = region_sample(cap, (args.xmin, args.xmax), (args.ymin, args.ymax), args.grid)
+    first, stop = region_runs(cap, (args.xmin, args.xmax), (args.ymin, args.ymax), args.grid)
+    runs = list(zip(first.tolist(), stop.tolist()))
     xs = np.linspace(args.xmin, args.xmax, args.grid)
     ys = np.linspace(args.ymin, args.ymax, args.grid)
-    # each raster row is one run of inside cells
-    first = raster.argmax(axis=1)
-    runs = list(zip(first.tolist(), (first + raster.sum(axis=1)).tolist()))
     if args.json:
         print(
             json.dumps(
@@ -504,7 +504,10 @@ def cmd_region(args) -> int:
                     "status": cap.status,
                     "xs": xs.tolist(),
                     "ys": ys.tolist(),
-                    "raster": raster.astype(int).tolist(),
+                    "raster": [
+                        [0] * first + [1] * (stop - first) + [0] * (args.grid - stop)
+                        for first, stop in runs
+                    ],
                 },
                 indent=2,
             )

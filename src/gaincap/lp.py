@@ -53,7 +53,6 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
-_NEAR_OVERFLOW = float(np.finfo(float).max) / 16
 
 
 class SimplexBudgetError(RuntimeError):
@@ -170,13 +169,9 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
     x_split[basis] = rhs
     x = x_split[:n] - x_split[n : 2 * n]
     x.setflags(write=False)
-    # the tableau holds minus the scaled maximum: only a maximum near the
-    # float range needs c @ x guarded, and one past it raises, not warns
-    if abs(float(tab[-1, -1])) * obj_scale < _NEAR_OVERFLOW:
+    # a maximum past the float range raises, not warns
+    with np.errstate(over="ignore", invalid="ignore"):
         value = float(c @ x)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(c @ x)
-        if not math.isfinite(value):
-            raise OverflowError("the maximum left the floating-point range")
+    if not math.isfinite(value):
+        raise OverflowError("the maximum left the floating-point range")
     return LpOutcome(OPTIMAL, point=x, value=value, pivots=pivots)

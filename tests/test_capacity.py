@@ -18,6 +18,7 @@ from gaincap.capacity import (
     closed_loop,
     determine,
     membership,
+    region_runs,
     region_sample,
     sensitivity_rows,
     simulate,
@@ -558,6 +559,10 @@ def test_region_sample_validation():
     for x_range, y_range in (((0.0, math.inf), (0.0, 1.0)), ((-1.0, 1.0), (math.nan, 1.0))):
         with pytest.raises(ValueError, match="finite"):
             region_sample(cap, x_range, y_range, 3)
+    # so would a width past the float range, with unsorted xs
+    for x_range, y_range in (((-1e308, 1e308), (0.0, 1.0)), ((-1.0, 1.0), (-1e308, 1e308))):
+        with pytest.raises(ValueError, match="floating-point range"):
+            region_runs(cap, x_range, y_range, 3)
     sys5 = SystemSpec(np.eye(3) * 0.5, None, [[1.0, 0.0, 0.0]], [0.0, 0.0, 0.0], 1.0)
     cap5 = determine(sys5, a_tilde=np.eye(3) * 0.5)
     with pytest.raises(ValueError, match="two-state"):
@@ -596,6 +601,12 @@ def assert_region_exact(cap, x_range, y_range, grid):
     # each row is one run of inside cells: at most one rise and one fall
     edges = np.diff(raster.astype(np.int8), axis=1, prepend=0, append=0)
     assert ((edges == 1).sum(axis=1) <= 1).all() and ((edges == -1).sum(axis=1) <= 1).all()
+    # region_runs gives that run, an empty one as first == stop
+    first, stop = region_runs(cap, x_range, y_range, grid)
+    assert (first <= stop).all()
+    assert np.array_equal(stop - first, raster.sum(axis=1))
+    full = stop > first
+    assert np.array_equal(first[full], raster[full].argmax(axis=1))
     return raster
 
 
@@ -645,6 +656,29 @@ def test_region_sample_matches_full_grid_on_edge_sets():
     assert not assert_region_exact(base, (40.0, 41.0), (-0.5, 0.5), 50).any()
     assert not assert_region_exact(base, (-0.5, 0.5), (60.0, 70.0), 50).any()
     assert assert_region_exact(base, (-0.1, 0.1), (-0.1, 0.1), 50).all()
+
+
+def test_region_rows_evaluated_cell_by_cell_match_full_grid(monkeypatch):
+    # rows the cells beside the estimated ends leave unsettled are evaluated
+    # cell by cell; force every row there
+    row_runs = gaincap.capacity._row_runs
+
+    def unsettled(*args):
+        first, stop, settled = row_runs(*args)
+        return first, stop, np.zeros_like(settled)
+
+    monkeypatch.setattr(gaincap.capacity, "_row_runs", unsettled)
+    rng = np.random.default_rng(29)
+    for name in ("ex1", "ex6"):
+        cap = fixture_capacity(name)
+        for grid in (2, 7, 50):
+            for _ in range(3):
+                center = rng.normal(0.0, 0.5, 2)
+                half = rng.uniform(0.2, 3.0, 2)
+                assert_region_exact(
+                    cap, (center[0] - half[0], center[0] + half[0]),
+                    (center[1] - half[1], center[1] + half[1]), grid,
+                )
 
 
 def test_region_sample_memory():

@@ -559,6 +559,18 @@ def test_region_rejects_non_finite_bounds(capsys):
             assert "gaincap: error: " in captured.err and "finite" in captured.err
 
 
+def test_region_rejects_overflowing_widths(capsys):
+    # finite bounds whose difference leaves the float range would sample
+    # inf and NaN points
+    for window in (["--xmin=-1e308", "--xmax=1e308", "--ymin=-1", "--ymax=1"],
+                   ["--xmin=-1", "--xmax=1", "--ymin=-1.7e308", "--ymax=1e308"]):
+        code = main(["region", fixture("ex1"), *window, "--grid", "3"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "floating-point range" in captured.err
+
+
 def test_region_refuses_higher_dimensions(capsys):
     code = main([
         "region", fixture("ex5"),

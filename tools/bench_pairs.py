@@ -1,8 +1,8 @@
 """Alternating parent/change pairs of perfbench/run.py, written as BENCH_<tag>.json.
 
     python3 tools/bench_pairs.py --tag mine --parent HEAD~1 --change HEAD \\
-        --group cli:1301-1310 --group ladder:1311-1320 --seconds 25 \\
-        --trace cli:201 --description "what the change is"
+        --group cli:1301-1310 --group ladder:1311-1320 --trace cli:201 \\
+        --description "what the change is"
 
 Each side runs from its own local ``git clone`` of this repository, checked
 out at its commit in a temporary directory, so both sides run their committed
@@ -10,10 +10,10 @@ files only and nothing is fetched.  (A ``git worktree`` would do as well,
 but its ``.git`` is a file, and run.py then records the commit as unknown.)
 
 Per group ``WORKLOAD:FIRST-LAST`` one pair runs per seed, each side for
-``--seconds`` with ``--trace 0``, and the side that runs first alternates
-from pair to pair.  ``--trace WORKLOAD:SEED`` adds a group ``trace-WORKLOAD``
-of one ``--trace 1 --seconds 2`` run per side.  The file is rewritten after
-every run, so an interrupted script keeps the runs it finished.
+BENCHMARK.json's ``run_seconds`` with ``--trace 0``, and the side that runs
+first alternates from pair to pair.  ``--trace WORKLOAD:SEED`` adds a group
+``trace-WORKLOAD`` of one ``--trace 1 --seconds 2`` run per side.  The file is
+rewritten after every run, so an interrupted script keeps the runs it finished.
 
 The record keeps, per run, its group, workload, seed, side, commit, pair,
 order (0 for the side that ran first), trace flag, exit code and run.py's
@@ -131,17 +131,16 @@ def parse_args(argv=None):
                         help="one pair per seed; repeat for more groups")
     parser.add_argument("--trace", action="append", default=[], metavar="WORKLOAD:SEED",
                         help="one traced run per side")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--description", default="")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<tag>.json at the repo root")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    out = args.out or ROOT / f"BENCH_{args.tag}.json"
+    out = ROOT / f"BENCH_{args.tag}.json"
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = benchmark["end_to_end"]
     plan = []
     for group in args.group:
         workload, seeds = group.split(":")
@@ -158,7 +157,7 @@ def main(argv=None) -> int:
     try:
         trees = {side: checkout(commits[side], work / side) for side in SIDES}
         for group, workload, seed, side, pair, order, trace in plan:
-            seconds = TRACE_SECONDS if trace else args.seconds
+            seconds = TRACE_SECONDS if trace else benchmark["run_seconds"]
             result = run_once(trees[side], workload, seed, seconds, trace)
             record["runs"].append({"group": group, "workload": workload, "seed": seed,
                                    "side": side, "commit": commits[side], "pair": pair,
