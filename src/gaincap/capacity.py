@@ -61,7 +61,6 @@ __all__ = [
     "check_gain",
     "analyze",
     "simulate",
-    "region_runs",
     "region_sample",
 ]
 
@@ -650,21 +649,22 @@ def _row_runs(rows: np.ndarray, bound: float, xs: np.ndarray, ys: np.ndarray):
     return first, stop, settled
 
 
-def region_runs(
-    cap: CapacitySet, x_range, y_range, grid: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The raster of :func:`region_sample` as one run of inside cells per row.
+def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
+    """Rasterize a planar capacity set over a rectangle.
 
-    Returns integer arrays ``first`` and ``stop`` of length ``grid`` with
-    ``first <= stop``: raster row j holds its inside cells at the columns
-    ``first[j] <= column < stop[j]``, an empty run when the two are equal.
+    Returns a boolean array indexed [row, column] = [y index, x index] with
+    both axes sampled on ``grid`` evenly spaced points, ranges inclusive.  A
+    cell is inside when ``|r . (x, y)| <= epsilon + MEMBERSHIP_TOL`` for every
+    constraint row r, with the values of one matrix product of the points
+    and the rows.
 
-    Along a row every value ``r0 x + r1 y`` is monotone in x, as the xs are
-    sorted and rounding is monotone, so each slab and their intersection meet
-    the row in one run.  Its ends are estimated in closed form and decided by
-    the cells beside them; a row those cells do not settle is evaluated cell
-    by cell and runs from its first inside cell to its last.  The working
-    memory is O(grid) floats.
+    Each raster row is one run of inside cells.  Along a row every value
+    ``r0 x + r1 y`` is monotone in x, as the xs are sorted and rounding is
+    monotone, so each slab and their intersection meet the row in one run.
+    Its ends are estimated in closed form and decided by the cells beside
+    them; a row those cells do not settle is evaluated cell by cell.  Beyond
+    O(grid) floats the working memory is the raster and one temporary of
+    the same size.
     """
     rows = cap.constraint_rows
     if rows.shape[1] != 2:
@@ -688,32 +688,13 @@ def region_runs(
     ys = np.linspace(y_lo, y_hi, grid)
     bound = cap.epsilon + MEMBERSHIP_TOL
     first, stop, settled = _row_runs(rows, bound, xs, ys)
-    stop = np.maximum(stop, first)
+    columns = np.arange(grid)
+    raster = columns >= first[:, None]
+    raster &= columns < stop[:, None]
     unsettled = np.flatnonzero(~settled)
     if unsettled.size:
         pts = np.stack(np.meshgrid(xs, ys[unsettled]), axis=-1)
         with np.errstate(over="ignore", invalid="ignore"):
-            inside = np.all(np.abs(pts @ rows.T) <= bound, axis=-1)
-        found = inside.any(axis=1)
-        first[unsettled] = np.where(found, inside.argmax(axis=1), 0)
-        stop[unsettled] = np.where(found, grid - inside[:, ::-1].argmax(axis=1), 0)
-    return first, stop
-
-
-def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
-    """Rasterize a planar capacity set over a rectangle.
-
-    Returns a boolean array indexed [row, column] = [y index, x index] with
-    both axes sampled on ``grid`` evenly spaced points, ranges inclusive.  A
-    cell is inside when ``|r . (x, y)| <= epsilon + MEMBERSHIP_TOL`` for every
-    constraint row r, with the values of one matrix product of the points
-    and the rows.  Each raster row is one run of inside cells, filled from
-    :func:`region_runs`; beyond O(grid) floats the working memory is the
-    raster and one temporary of the same size.
-    """
-    first, stop = region_runs(cap, x_range, y_range, grid)
-    columns = np.arange(first.shape[0])
-    raster = columns >= first[:, None]
-    raster &= columns < stop[:, None]
+            raster[unsettled] = np.all(np.abs(pts @ rows.T) <= bound, axis=-1)
     raster.setflags(write=False)
     return raster

@@ -48,7 +48,7 @@ from .capacity import (
     check_gain,
     closed_loop,
     determine,
-    region_runs,
+    region_sample,
     simulate,
 )
 
@@ -86,20 +86,36 @@ def _fmt(value: float) -> str:
     return "%.17g" % float(value)
 
 
+def _row_cuts(raster: np.ndarray) -> list[tuple[int, list[int]]]:
+    """Each raster row as its first cell's value and the columns where a
+    cell differs from the cell on its left, found in one pass over the
+    raster."""
+    width = raster.shape[1] - 1
+    # flat indices into the (rows, width) array of neighbour differences
+    changes = np.flatnonzero(raster[:, 1:] != raster[:, :-1])
+    cuts = (changes % width + 1).tolist()
+    bounds = np.searchsorted(changes, np.arange(raster.shape[0] + 1) * width).tolist()
+    return [
+        (bit, cuts[lo:hi]) for bit, lo, hi in zip(raster[:, 0].tolist(), bounds, bounds[1:])
+    ]
+
+
 def _grid_row(
-    x_text: list[str], first: int, stop: int, cells: tuple[tuple[str, str] | None, ...]
+    x_text: list[str], row: tuple[int, list[int]], cells: tuple[tuple[str, str] | None, ...]
 ) -> str:
-    """The text of one raster row whose inside cells are the run
-    ``[first, stop)``.  Cell ``ix`` with value ``bit`` is ``head + x_text[ix]
-    + tail`` for ``(head, tail) = cells[bit]``, or nothing when ``cells[bit]``
-    is None; each of the row's at most three runs of equal cells is one
-    ``str.join`` over the x texts."""
+    """The text of one raster row given as in :func:`_row_cuts`.  Cell ``ix``
+    with value ``bit`` is ``head + x_text[ix] + tail`` for ``(head, tail) =
+    cells[bit]``, or nothing when ``cells[bit]`` is None; each run of equal
+    cells is one ``str.join`` over the x texts."""
+    bit, cuts = row
+    bounds = [0, *cuts, len(x_text)]
     parts = []
-    runs = ((0, first, cells[0]), (first, stop, cells[1]), (stop, len(x_text), cells[0]))
-    for start, end, cell in runs:
-        if start < end and cell is not None:
+    for start, stop in zip(bounds, bounds[1:]):
+        cell = cells[bit]
+        if cell is not None:
             head, tail = cell
-            parts += [head, (tail + head).join(x_text[start:end]), tail]
+            parts += [head, (tail + head).join(x_text[start:stop]), tail]
+        bit = 1 - bit
     return "".join(parts)
 
 
@@ -436,9 +452,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _svg(runs: list[tuple[int, int]], xs: np.ndarray, ys: np.ndarray, tau0: np.ndarray):
+def _svg(rows: list[tuple[int, list[int]]], xs: np.ndarray, ys: np.ndarray, tau0: np.ndarray):
     """Self-contained SVG as text chunks of whole lines, one chunk per raster
-    row given as its run of member cells: member cells filled, key vectors
+    row given as in :func:`_row_cuts`: member cells filled, key vectors
     marked."""
     size = 640.0
     margin = 40.0
@@ -464,8 +480,8 @@ def _svg(runs: list[tuple[int, int]], xs: np.ndarray, ys: np.ndarray, tau0: np.n
     x_text = [f"{px(x) - cell / 2:.2f}" for x in xs.tolist()]
     y_text = [f"{py(y) - cell / 2:.2f}" for y in ys.tolist()]
     size_text = f'width="{cell:.2f}" height="{cell:.2f}" fill="#7fbf7f"/>'
-    for y, (first, stop) in zip(y_text, runs):
-        yield _grid_row(x_text, first, stop, (None, ('<rect x="', f'" y="{y}" {size_text}\n')))
+    for y, row in zip(y_text, rows):
+        yield _grid_row(x_text, row, (None, ('<rect x="', f'" y="{y}" {size_text}\n')))
     markers = [("tau0", float(tau0[0]), float(tau0[1])), ("e1", 1.0, 0.0), ("e2", 0.0, 1.0)]
     for label, mx, my in markers:
         if x_lo <= mx <= x_hi and y_lo <= my <= y_hi:
@@ -493,10 +509,10 @@ def cmd_region(args) -> int:
     if not (math.isfinite(args.xmax - args.xmin) and math.isfinite(args.ymax - args.ymin)):
         raise InputError("xmax - xmin and ymax - ymin must be within the floating-point range")
     cap = determine(problem.system, **_loop(problem), **_limits(problem, args))
-    first, stop = region_runs(cap, (args.xmin, args.xmax), (args.ymin, args.ymax), args.grid)
-    runs = list(zip(first.tolist(), stop.tolist()))
+    raster = region_sample(cap, (args.xmin, args.xmax), (args.ymin, args.ymax), args.grid)
     xs = np.linspace(args.xmin, args.xmax, args.grid)
     ys = np.linspace(args.ymin, args.ymax, args.grid)
+    rows = _row_cuts(raster)
     if args.json:
         print(
             json.dumps(
@@ -504,10 +520,7 @@ def cmd_region(args) -> int:
                     "status": cap.status,
                     "xs": xs.tolist(),
                     "ys": ys.tolist(),
-                    "raster": [
-                        [0] * first + [1] * (stop - first) + [0] * (args.grid - stop)
-                        for first, stop in runs
-                    ],
+                    "raster": raster.astype(int).tolist(),
                 },
                 indent=2,
             )
@@ -516,10 +529,10 @@ def cmd_region(args) -> int:
         x_text = [_fmt(x) for x in xs.tolist()]
         write = sys.stdout.write
         write("x,y,inside\n")
-        for y, (first, stop) in zip(map(_fmt, ys.tolist()), runs):
-            write(_grid_row(x_text, first, stop, (("", f",{y},0\n"), ("", f",{y},1\n"))))
+        for y, row in zip(map(_fmt, ys.tolist()), rows):
+            write(_grid_row(x_text, row, (("", f",{y},0\n"), ("", f",{y},1\n"))))
     if args.svg:
-        svg = _svg(runs, xs, ys, problem.system.tau0)
+        svg = _svg(rows, xs, ys, problem.system.tau0)
         try:
             with open(args.svg, "w", encoding="utf-8") as fh:
                 fh.writelines(svg)

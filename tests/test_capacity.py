@@ -18,7 +18,6 @@ from gaincap.capacity import (
     closed_loop,
     determine,
     membership,
-    region_runs,
     region_sample,
     sensitivity_rows,
     simulate,
@@ -562,7 +561,7 @@ def test_region_sample_validation():
     # so would a width past the float range, with unsorted xs
     for x_range, y_range in (((-1e308, 1e308), (0.0, 1.0)), ((-1.0, 1.0), (-1e308, 1e308))):
         with pytest.raises(ValueError, match="floating-point range"):
-            region_runs(cap, x_range, y_range, 3)
+            region_sample(cap, x_range, y_range, 3)
     sys5 = SystemSpec(np.eye(3) * 0.5, None, [[1.0, 0.0, 0.0]], [0.0, 0.0, 0.0], 1.0)
     cap5 = determine(sys5, a_tilde=np.eye(3) * 0.5)
     with pytest.raises(ValueError, match="two-state"):
@@ -601,12 +600,6 @@ def assert_region_exact(cap, x_range, y_range, grid):
     # each row is one run of inside cells: at most one rise and one fall
     edges = np.diff(raster.astype(np.int8), axis=1, prepend=0, append=0)
     assert ((edges == 1).sum(axis=1) <= 1).all() and ((edges == -1).sum(axis=1) <= 1).all()
-    # region_runs gives that run, an empty one as first == stop
-    first, stop = region_runs(cap, x_range, y_range, grid)
-    assert (first <= stop).all()
-    assert np.array_equal(stop - first, raster.sum(axis=1))
-    full = stop > first
-    assert np.array_equal(first[full], raster[full].argmax(axis=1))
     return raster
 
 

@@ -489,12 +489,14 @@ def library_problem(path: str):
     return system, {"a_tilde": data["A_tilde"]}
 
 
-def region_reference(window, grid):
-    """The CSV lines and SVG member-cell lines of ``region``, one cell at a time."""
+def region_reference(window, grid, raster=None):
+    """The CSV lines and SVG member-cell lines of ``region``, one cell at a
+    time, for ex1's raster or the one given."""
     x_lo, x_hi, y_lo, y_hi = window
-    system, loop = library_problem(fixture("ex1"))
-    cap = determine(system, **loop)
-    raster = region_sample(cap, (x_lo, x_hi), (y_lo, y_hi), grid)
+    if raster is None:
+        system, loop = library_problem(fixture("ex1"))
+        cap = determine(system, **loop)
+        raster = region_sample(cap, (x_lo, x_hi), (y_lo, y_hi), grid)
     xs = np.linspace(x_lo, x_hi, grid).tolist()
     ys = np.linspace(y_lo, y_hi, grid).tolist()
     csv = ["x,y,inside"]
@@ -536,6 +538,30 @@ def test_region_matches_per_cell_reference(tmp_path, capsys):
             assert sum(line.endswith('fill="#7fbf7f"/>') for line in lines) == len(rects)
             assert lines[-2:] == ["</svg>", ""]
     assert kinds == {"inside", "outside", "mixed"}
+
+
+def test_region_writes_any_raster_cell_by_cell(tmp_path, capsys, monkeypatch):
+    # the writers render rows of any number of runs, so CSV, SVG and --json
+    # show the same cells whatever the raster
+    rng = np.random.default_rng(31)
+    window = REGION_WINDOWS[0]
+    bounds = [f"{flag}={value!r}" for flag, value in zip(("--xmin", "--xmax", "--ymin", "--ymax"),
+                                                         window)]
+    for grid in (2, 3, 9):
+        raster = rng.random((grid, grid)) < 0.5
+        raster[0] = False
+        raster[-1] = True
+        monkeypatch.setattr(gaincap.cli, "region_sample", lambda *args: raster)
+        _, csv, rects = region_reference(window, grid, raster)
+        svg_path = tmp_path / "region.svg"
+        assert main(["region", fixture("ex1"), *bounds, "--grid", str(grid),
+                     "--svg", str(svg_path)]) == EXIT_OK
+        assert capsys.readouterr().out == "\n".join(csv) + "\n"
+        lines = svg_path.read_text(encoding="utf-8").split("\n")
+        assert lines[3:3 + len(rects)] == rects
+        assert sum(line.endswith('fill="#7fbf7f"/>') for line in lines) == len(rects)
+        assert main(["region", fixture("ex1"), *bounds, "--grid", str(grid), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["raster"] == raster.astype(int).tolist()
 
 
 def test_region_grid_validation(capsys):
