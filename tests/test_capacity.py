@@ -653,12 +653,10 @@ def test_region_sample_matches_full_grid_on_edge_sets():
 
 def test_region_rows_evaluated_cell_by_cell_match_full_grid(monkeypatch):
     # rows the cells beside the estimated ends leave unsettled are evaluated
-    # cell by cell; force every row there
-    row_runs = gaincap.capacity._row_runs
-
-    def unsettled(*args):
-        first, stop, settled = row_runs(*args)
-        return first, stop, np.zeros_like(settled)
+    # cell by cell; force every row there, with empty estimated runs
+    def unsettled(rows, bound, xs, ys):
+        empty = np.zeros(len(ys), dtype=int)
+        return empty, empty, np.zeros(len(ys), dtype=bool)
 
     monkeypatch.setattr(gaincap.capacity, "_row_runs", unsettled)
     rng = np.random.default_rng(29)
