@@ -15,7 +15,10 @@ detects that fixpoint by linear programming: the band at step k+1 is already
 implied exactly when each signed output row at step k+1 has maximum at most
 epsilon over ``Theta_k``.  ``Theta_k`` is centrally symmetric, so a row and
 its negation have the same maximum and each row is maximized once.  The
-smallest such k is the determination index.
+smallest such k is the determination index.  While the stacked rows have
+rank below n, ``Theta_k`` is a cylinder: a row with a part outside the row
+space of the stack (each stacked row scaled by its largest entry) is
+unbounded, and is recorded as such without a simplex.
 
 Because trajectories are linear in (alpha, beta), the gain tolerates *every*
 disturbance pair at once exactly when tau0 and each canonical basis vector
@@ -37,7 +40,7 @@ from .linalg import (
     rank,
     spectral_radius,
 )
-from .lp import UNBOUNDED, SimplexBudgetError, maximize
+from .lp import UNBOUNDED, SimplexBudgetError, check_band, maximize
 
 __all__ = [
     "DETERMINED",
@@ -68,6 +71,9 @@ DETERMINED = "determined"
 ITERATION_LIMIT = "iteration_limit"
 
 MEMBERSHIP_TOL = 1e-12
+# a scaled output row whose part outside the constraint rows' row space has
+# an entry above this is unbounded; smaller parts are left to the simplex
+UNBOUNDED_RESIDUAL = 1e-6
 # simulate looks for a state that maps to its own bits once per this many steps
 SETTLE_STRIDE = 64
 
@@ -332,9 +338,33 @@ def _advance(block: np.ndarray, a_tilde: np.ndarray, step: int) -> np.ndarray:
     return out
 
 
+def _equilibrated(rows: np.ndarray) -> np.ndarray:
+    """``rows`` each scaled by its largest absolute entry, the row scale the
+    simplex uses; zero rows stay zero."""
+    scale = np.abs(rows).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    return rows / scale[:, None]
+
+
+def _row_space(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the row space of the equilibrated
+    ``stack``.  The rank counts the singular values above numpy's default
+    rank tolerance; without the scaling a row of tiny entries would read as
+    dependent."""
+    _, singular, vt = np.linalg.svd(_equilibrated(stack), full_matrices=False)
+    tol = singular.max(initial=0.0) * max(stack.shape) * np.finfo(float).eps
+    return vt[: int((singular > tol).sum())]
+
+
+def _check_stop_tol(stop_tol: float) -> None:
+    if isinstance(stop_tol, bool) or not 0 <= stop_tol < np.inf:
+        raise ValueError("stop_tol must be a nonnegative finite number")
+
+
 def _step(
     constraint_stack: np.ndarray,
     objective_block: np.ndarray,
+    space: np.ndarray,
     epsilon: float,
     stop_tol: float,
     step: int,
@@ -344,11 +374,29 @@ def _step(
     (unbounded programs yield inf), stopped when all are within
     ``epsilon + stop_tol``.  The polyhedron is centrally symmetric, so each
     row is maximized once and its negation is recorded with the same
-    maximum."""
-    if isinstance(stop_tol, bool) or not 0 <= stop_tol < np.inf:
-        raise ValueError("stop_tol must be a nonnegative finite number")
+    maximum.
+
+    ``space`` holds orthonormal rows spanning the row space of the
+    equilibrated stack (see :func:`_row_space`).  Below full rank the
+    polyhedron is a cylinder, and a row whose scaled part outside that
+    space is clearly nonzero (above ``UNBOUNDED_RESIDUAL``) is unbounded:
+    it is recorded as inf without a simplex.  Every other row is left to
+    :func:`~gaincap.lp.maximize`.  The band is checked once, before any
+    row, so an unscalable band row stops the step at constraint 1 even
+    when no row reaches the simplex."""
+    try:
+        epsilon = check_band(constraint_stack, epsilon)
+    except OverflowError as err:
+        raise DeterminationError(f"LP solver gave up: {err}", step=step, constraint=1) from err
+    outside = np.zeros(objective_block.shape[0], dtype=bool)
+    if space.shape[0] < objective_block.shape[1]:
+        rows = _equilibrated(objective_block)
+        outside = np.abs(rows - (rows @ space.T) @ space).max(axis=1) > UNBOUNDED_RESIDUAL
     values = []
     for j, row in enumerate(objective_block):
+        if outside[j]:
+            values += [np.inf, np.inf]
+            continue
         try:
             outcome = maximize(row, constraint_stack, epsilon)
         except (SimplexBudgetError, OverflowError) as err:
@@ -378,19 +426,27 @@ def determine(
     negation).  When every maximum is at most ``epsilon + stop_tol`` the
     truncation has converged: k is the determination index and the stacked
     rows describe the capacity set exactly.  An unbounded subproblem or a
-    larger maximum advances k.  After ``max_iter`` steps the search stops
-    with status ``"iteration_limit"`` and the accumulated rows describe an
-    outer truncation only.
+    larger maximum advances k.  Until the stacked rows reach rank n, one SVD
+    per step finds their row space, and a row clearly outside it is
+    recorded as unbounded without a simplex; a fuller stack never has lower
+    rank, so from full rank on every row is solved.  After ``max_iter``
+    steps the search stops with status ``"iteration_limit"`` and the
+    accumulated rows describe an outer truncation only.
     """
     at = _resolve_a_tilde(sys, gain, a_tilde)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    _check_stop_tol(stop_tol)
     blocks = [sys.c]
     history: list[IterationRecord] = []
+    space = None
     for k in range(int(max_iter)):
         stack = np.vstack(blocks)
+        # a fuller stack never has lower rank, so once full it stays full
+        if space is None or space.shape[0] < sys.n:
+            space = _row_space(stack)
         objective = _advance(blocks[-1], at, k)
-        history.append(_step(stack, objective, sys.epsilon, stop_tol, k))
+        history.append(_step(stack, objective, space, sys.epsilon, stop_tol, k))
         if history[-1].stopped:
             break
         blocks.append(objective)
@@ -421,12 +477,14 @@ def stop_test(
     """
     if objective_step < 0:
         raise ValueError("objective_step must be nonnegative")
-    # a caller-built set enters here; the band LPs check epsilon themselves
+    _check_stop_tol(stop_tol)
+    # a caller-built set enters here; the band check in _step checks epsilon
     as_matrix(cap.constraint_rows, "constraint rows")
     block = cap.constraint_rows[: cap.output_dim]
     for _ in range(int(objective_step)):
         block = _advance(block, cap.a_tilde, objective_step)
-    record = _step(cap.constraint_rows, block, cap.epsilon, stop_tol, objective_step)
+    space = _row_space(cap.constraint_rows)
+    record = _step(cap.constraint_rows, block, space, cap.epsilon, stop_tol, objective_step)
     return record.stopped, record.values
 
 

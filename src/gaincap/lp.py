@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OPTIMAL", "UNBOUNDED", "LpOutcome", "SimplexBudgetError", "maximize"]
+__all__ = ["OPTIMAL", "UNBOUNDED", "LpOutcome", "SimplexBudgetError", "check_band", "maximize"]
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -90,14 +90,12 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab -= np.multiply.outer(factors, tab[row])
 
 
-def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
-    """Maximize ``objective . x`` subject to ``|s x| <= epsilon``, x sign-free.
-
-    Returns an :class:`LpOutcome` with status ``optimal`` (point and value
-    set) or ``unbounded``.  Raises :class:`OverflowError` when epsilon over
-    the largest entry of a row of ``s`` has no float value, as the scaled
-    tableau would then hold inf, and when the maximum has none.
-    """
+def check_band(s: np.ndarray, epsilon: float) -> float:
+    """``epsilon`` as a float, once the band ``|s x| <= epsilon`` has passed
+    the checks :func:`maximize` makes before any simplex.  Raises
+    :class:`ValueError` when epsilon is negative or not finite, and
+    :class:`OverflowError` when epsilon over the largest entry of a row of
+    ``s`` has no float value, as the scaled tableau would then hold inf."""
     epsilon = float(epsilon)
     if not 0.0 <= epsilon < np.inf:
         raise ValueError("epsilon must be finite and nonnegative: the origin is the start vertex")
@@ -106,6 +104,18 @@ def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
     scale = np.abs(s).max(axis=1)
     if epsilon / float(scale.min(where=scale > 0.0, initial=np.inf)) == np.inf:
         raise OverflowError("epsilon over a band row's scale left the floating-point range")
+    return epsilon
+
+
+def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
+    """Maximize ``objective . x`` subject to ``|s x| <= epsilon``, x sign-free.
+
+    Returns an :class:`LpOutcome` with status ``optimal`` (point and value
+    set) or ``unbounded``.  Raises :class:`OverflowError` when epsilon over
+    the largest entry of a row of ``s`` has no float value, as the scaled
+    tableau would then hold inf, and when the maximum has none.
+    """
+    epsilon = check_band(s, epsilon)
     g = np.vstack([s, -s])
     return _simplex(objective, g, np.full(g.shape[0], epsilon))
 

@@ -13,10 +13,12 @@ SPEC.loader.exec_module(bench_pairs)
 METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
 
 
-def run(side, pair, seed, wall, rate, verdicts=10, failed=0):
+def run(side, pair, seed, wall, rate, verdicts=10, failed=0, rss=None):
     header = {"workload": "cli", "verdicts": verdicts}
     result = {"failed": failed, "metrics": {"wall_s": {"value": wall, "unit": "s"},
                                             "rate": {"value": rate, "unit": "1/s"}}}
+    if rss is not None:
+        result["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
     return {"group": "cli", "side": side, "pair": pair, "seed": seed, "trace": 0,
             "stdout_last_two": [json.dumps(header), json.dumps(result)]}
 
@@ -38,6 +40,8 @@ def test_summary_counts_pairs_won_and_parent_spread():
     assert wall["change_better_pairs"] == "2/4"
     assert summary["rate"]["change_better_pairs"] == "1/4"
     assert summary["verdicts"] == {"parent": [10] * 4, "change": [20] * 4}
+    # no peak_rss_mb, and one verdict count per side: no line to fit
+    assert summary["rss_fit"] == {"parent": None, "change": None}
     assert summary["failed"] == {"parent": 6, "change": 0}
     assert summary["seeds"] == [100, 101, 102, 103]
 
@@ -48,6 +52,23 @@ def test_summary_skips_a_run_without_its_result_lines():
     summary = bench_pairs.summarize_group(runs, METRICS)
     assert "wall_s" not in summary
     assert summary["verdicts"] == {"parent": [10], "change": [None]}
+
+
+def test_summary_fits_peak_rss_against_verdicts():
+    # parent: 40 MB + 2 KB per verdict exactly; change: one run lacks its
+    # result lines and the fit uses the other three
+    runs = []
+    for pair, verdicts in enumerate([512, 1024, 2048, 1536]):
+        runs += [run("parent", pair, pair, 1.0, 1.0, verdicts, rss=40.0 + verdicts * 2 / 1024),
+                 run("change", pair, pair, 1.0, 1.0, verdicts, rss=30.0 + verdicts / 1024)]
+    runs[-1]["stdout_last_two"] = []
+    fit = bench_pairs.summarize_group(runs, METRICS)["rss_fit"]
+    assert fit["parent"]["mb_intercept"] == pytest.approx(40.0)
+    assert fit["parent"]["kb_per_verdict"] == pytest.approx(2.0)
+    assert fit["parent"]["runs"] == 4
+    assert fit["change"]["mb_intercept"] == pytest.approx(30.0)
+    assert fit["change"]["kb_per_verdict"] == pytest.approx(1.0)
+    assert fit["change"]["runs"] == 3
 
 
 def test_seed_range():

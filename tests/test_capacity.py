@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gaincap.capacity
+import gaincap.lp
 from gaincap.capacity import (
     DETERMINED,
     ITERATION_LIMIT,
@@ -694,16 +695,25 @@ def test_stop_test_persists_after_determination():
         assert all(v <= cap.epsilon + 1e-9 for v in values)
 
 
+def scaled_rank(rows):
+    """Numerical rank of ``rows`` with each nonzero row scaled to max-abs 1."""
+    scale = np.abs(rows).max(axis=1, keepdims=True)
+    return np.linalg.matrix_rank(rows / np.where(scale == 0.0, 1.0, scale))
+
+
 @pytest.mark.parametrize("name", [f"ex{i}" for i in range(1, 11)])
 def test_one_lp_per_output_row(name, monkeypatch):
     # the band polyhedron is centrally symmetric, so each output row is
-    # maximized once and +row and -row record the same value
+    # maximized at most once and +row and -row record the same value; a row
+    # outside the row space of the stack is unbounded without a solve, and
+    # every other row is solved
     problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
     original = gaincap.capacity.maximize
-    calls = []
+    calls = {}
 
     def counting_maximize(objective, s, epsilon):
-        calls.append(objective)
+        # the stack's height names the step
+        calls.setdefault(s.shape[0], []).append(objective.tobytes())
         return original(objective, s, epsilon)
 
     monkeypatch.setattr(gaincap.capacity, "maximize", counting_maximize)
@@ -712,16 +722,73 @@ def test_one_lp_per_output_row(name, monkeypatch):
         problem.system, problem.gain, **loop,
         max_iter=40, stop_tol=problem.options.stop_tol,
     )
-    assert len(calls) == problem.system.p * len(cap.history)
+    p = problem.system.p
+    rows = sensitivity_rows(problem.system, cap.a_tilde, len(cap.history))
+    assert sum(map(len, calls.values())) <= p * len(cap.history)
     for record in cap.history:
-        assert len(record.values) == 2 * problem.system.p
+        assert len(record.values) == 2 * p
         assert record.values[0::2] == record.values[1::2]
+        stack = rows[: p * (record.step + 1)]
+        objective = rows[p * (record.step + 1) : p * (record.step + 2)]
+        unsolved = {j: row.tobytes() for j, row in enumerate(objective)}
+        for solved in calls.pop(stack.shape[0], []):
+            del unsolved[next(j for j, row in unsolved.items() if row == solved)]
+        for j in unsolved:
+            assert record.values[2 * j] == math.inf
+            assert scaled_rank(np.vstack([stack, objective[j]])) > scaled_rank(stack)
+    assert not calls
+
+
+def test_rank_test_matches_the_primal():
+    # every recorded maximum, skipped or solved, is bit for bit the primal's
+    # over that step's stack, on loops with p < n whose stacks stay below
+    # full rank for several steps
+    rng = np.random.default_rng(31)
+    seen = {"skipped": 0, "finite below full rank": 0}
+    for trial in range(40):
+        kind = trial % 4
+        n = int(rng.integers(3, 7))
+        p = 2 if kind == 1 else int(rng.integers(1, n))
+        # the rest are unobservable modes; a nearly dependent pair of rows
+        # spans the whole observable space, so its rows are not unbounded
+        observed = 2 if kind == 1 else int(rng.integers(1, n + 1))
+        a = 0.5 * rng.standard_normal((n, n))
+        a[:observed, observed:] = 0.0
+        a *= 0.97 / np.abs(np.linalg.eigvals(a)).max()
+        c = np.zeros((p, n))
+        c[:, :observed] = rng.standard_normal((p, observed))
+        if kind == 1:
+            c[1] = c[0] + 1e-7 * rng.standard_normal(n) * (c[0] != 0.0)
+        elif kind == 2:
+            c[-1] *= 1e-300
+        elif kind == 3 and p >= 2:
+            c[-1] = 0.0
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a_tilde, c = q @ a @ q.T, c @ q.T
+        sys_ = SystemSpec(a_tilde, None, c, np.zeros(n), float(rng.uniform(0.5, 2.0)))
+        cap = determine(sys_, a_tilde=a_tilde, max_iter=30)
+        rows = sensitivity_rows(sys_, cap.a_tilde, len(cap.history))
+        for record in cap.history:
+            stack = rows[: p * (record.step + 1)]
+            expected = []
+            for row in rows[p * (record.step + 1) : p * (record.step + 2)]:
+                outcome = gaincap.lp.maximize(row, stack, sys_.epsilon)
+                value = math.inf if outcome.status == gaincap.lp.UNBOUNDED else outcome.value
+                expected += [value, value]
+            assert np.array(record.values).tobytes() == np.array(expected).tobytes()
+            if np.linalg.matrix_rank(stack) < n:
+                finite = np.isfinite(record.values[0::2])
+                seen["finite below full rank"] += int(finite.sum())
+                seen["skipped"] += int((~finite).sum())
+    assert min(seen.values()) > 0, seen
 
 
 def test_determine_pivot_count_tripwire(monkeypatch):
     # a slow-converging loop rho * Q (Q orthogonal) stops at k0 = 47 after
-    # 48 steps of 2 LPs each; the pinned pivot total catches a change of
-    # pricing rule or tableau arithmetic that the k0 alone would not show
+    # 48 steps of 2 rows each; the 6 rows outside the row space of the first
+    # 3 stacks are unbounded without a solve, leaving 90 LPs.  The pinned
+    # pivot total catches a change of pricing rule or tableau arithmetic
+    # that the k0 alone would not show
     rng = np.random.default_rng(0)
     q, r = np.linalg.qr(rng.standard_normal((8, 8)))
     a_tilde = 0.99 * q * np.sign(np.diag(r))
@@ -737,8 +804,8 @@ def test_determine_pivot_count_tripwire(monkeypatch):
 
     monkeypatch.setattr(gaincap.capacity, "maximize", counting_maximize)
     cap = determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
-    assert (cap.k0, cap.status, len(pivots)) == (47, DETERMINED, 96)
-    assert sum(pivots) == 1281
+    assert (cap.k0, cap.status, len(pivots)) == (47, DETERMINED, 90)
+    assert sum(pivots) == 1254
 
 
 def test_stop_test_rejects_negative_band():
@@ -767,6 +834,17 @@ def test_subnormal_band_row_stops_determination():
     a_tilde[0][1] = 1e-300
     cap = determine(sys_, a_tilde=a_tilde)
     assert (cap.status, cap.k0) == (DETERMINED, 1)
+
+
+def test_unscalable_band_row_stops_a_step_without_a_solve():
+    # step 1's stack [e1; 1e-309 e2] has rank 2 of 3, and its one objective
+    # row, 1e-309 e3, lies outside that row space; the band still cannot be
+    # scaled, so step 1 stops before any row, at constraint 1
+    a_tilde = [[0.0, 1e-309, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+    sys_ = SystemSpec(a_tilde, None, [[1.0, 0.0, 0.0]], [0.1, 0.1, 0.1], 1.0)
+    with pytest.raises(DeterminationError, match="floating-point range") as err:
+        determine(sys_, a_tilde=a_tilde)
+    assert (err.value.step, err.value.constraint) == (1, 1)
 
 
 def test_membership_symmetry_and_midpoints():

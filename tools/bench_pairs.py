@@ -21,7 +21,9 @@ last two stdout lines verbatim.  Its summary gives, per group and per
 end-to-end metric of BENCHMARK.json, each side's quartiles (numpy linear
 percentiles), the median change in percent, the parent's IQR and the pairs
 the change won (ties count for neither), plus each side's verdict counts,
-the failures summed per side, and the seeds.
+each side's least-squares fit of peak_rss_mb against its verdict count (MB
+intercept, KB per verdict), the failures summed per side, and the seeds.
+The fit tells memory the benchmark keeps per verdict apart from gaincap's.
 """
 
 from __future__ import annotations
@@ -104,10 +106,28 @@ def summarize_group(runs: list[dict], metrics: list[dict]) -> dict:
         }
     summary["verdicts"] = {side: [_lines(pair[side])[0].get("verdicts") for pair in pairs]
                            for side in SIDES}
+    summary["rss_fit"] = {side: rss_fit([pair[side] for pair in pairs]) for side in SIDES}
     summary["failed"] = {side: sum(_lines(pair[side])[1].get("failed", 0) for pair in pairs)
                          for side in SIDES}
     summary["seeds"] = [pair["parent"]["seed"] for pair in pairs]
     return summary
+
+
+def rss_fit(runs: list[dict]) -> dict | None:
+    """Least-squares line of ``peak_rss_mb`` against the verdict count over
+    ``runs``: the intercept in MB and the slope in KB (1/1024 MB) per
+    verdict, or None without two distinct verdict counts."""
+    points = []
+    for header, result in map(_lines, runs):
+        verdicts = header.get("verdicts")
+        rss = result.get("metrics", {}).get("peak_rss_mb", {}).get("value")
+        if verdicts is not None and rss is not None:
+            points.append((verdicts, rss))
+    if len({verdicts for verdicts, _ in points}) < 2:
+        return None
+    slope, intercept = np.polyfit(*np.array(points, dtype=float).T, 1)
+    return {"mb_intercept": float(intercept), "kb_per_verdict": float(slope * 1024.0),
+            "runs": len(points)}
 
 
 def summarize_trace(runs: list[dict]) -> dict:
