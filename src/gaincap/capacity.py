@@ -71,6 +71,7 @@ DETERMINED = "determined"
 ITERATION_LIMIT = "iteration_limit"
 
 MEMBERSHIP_TOL = 1e-12
+EPS = np.finfo(float).eps
 # a scaled output row whose part outside the constraint rows' row space has
 # an entry above this is unbounded; smaller parts are left to the simplex
 UNBOUNDED_RESIDUAL = 1e-6
@@ -352,8 +353,43 @@ def _row_space(stack: np.ndarray) -> np.ndarray:
     rank tolerance; without the scaling a row of tiny entries would read as
     dependent."""
     _, singular, vt = np.linalg.svd(_equilibrated(stack), full_matrices=False)
-    tol = singular.max(initial=0.0) * max(stack.shape) * np.finfo(float).eps
-    return vt[: int((singular > tol).sum())]
+    # the singular values come sorted, largest first
+    return vt[: np.count_nonzero(singular > singular[0] * max(stack.shape) * EPS)]
+
+
+def _beyond(rows: np.ndarray, space: np.ndarray) -> np.ndarray:
+    """Whether each of the equilibrated ``rows`` has a part outside the span
+    of the orthonormal rows ``space`` with an entry above
+    ``UNBOUNDED_RESIDUAL``."""
+    return np.abs(rows - (rows @ space.T) @ space).max(axis=1) > UNBOUNDED_RESIDUAL
+
+
+def _unbounded_rows(
+    stack: np.ndarray, block: np.ndarray, space: np.ndarray | None
+) -> tuple[list[bool], np.ndarray]:
+    """Which rows of ``block`` lie clearly outside the row space of the
+    equilibrated ``stack`` (see :func:`_beyond`), which makes their band
+    LPs unbounded, and the orthonormal rows to pass with the next stack,
+    ``stack`` plus ``block``.
+
+    ``space`` spans the row space of an earlier stack, or is None.  A
+    fuller stack never has a smaller row space, so a row inside ``space``
+    is inside the row space of ``stack`` too; only when some row is not is
+    that row space taken from one SVD, and it alone decides which rows are
+    outside.  When an outside row lifts the rank to n, the identity stands
+    for the full space, and at full rank no row is outside."""
+    n = stack.shape[1]
+    inside = [False] * block.shape[0]
+    if space is not None and space.shape[0] == n:
+        return inside, space
+    rows = _equilibrated(block)
+    if space is not None and not _beyond(rows, space).any():
+        return inside, space
+    space = _row_space(stack)
+    outside = _beyond(rows, space)
+    if outside.any() and space.shape[0] == n - 1:
+        space = np.eye(n)
+    return outside.tolist(), space
 
 
 def _check_stop_tol(stop_tol: float) -> None:
@@ -364,7 +400,7 @@ def _check_stop_tol(stop_tol: float) -> None:
 def _step(
     constraint_stack: np.ndarray,
     objective_block: np.ndarray,
-    space: np.ndarray,
+    outside: list[bool],
     epsilon: float,
     stop_tol: float,
     step: int,
@@ -376,22 +412,19 @@ def _step(
     row is maximized once and its negation is recorded with the same
     maximum.
 
-    ``space`` holds orthonormal rows spanning the row space of the
-    equilibrated stack (see :func:`_row_space`).  Below full rank the
-    polyhedron is a cylinder, and a row whose scaled part outside that
-    space is clearly nonzero (above ``UNBOUNDED_RESIDUAL``) is unbounded:
-    it is recorded as inf without a simplex.  Every other row is left to
-    :func:`~gaincap.lp.maximize`.  The band is checked once, before any
-    row, so an unscalable band row stops the step at constraint 1 even
+    Below full rank the polyhedron is a cylinder.  A row flagged in
+    ``outside`` lies clearly outside the row space of the equilibrated
+    stack (see :func:`_unbounded_rows`), so it is unbounded and recorded as
+    inf without a simplex; every other row is left to
+    :func:`~gaincap.lp.maximize`.  The band is checked before any row: by
+    ``maximize`` when the first row reaches it, here when the first row is
+    skipped, so an unscalable band row stops the step at constraint 1 even
     when no row reaches the simplex."""
-    try:
-        epsilon = check_band(constraint_stack, epsilon)
-    except OverflowError as err:
-        raise DeterminationError(f"LP solver gave up: {err}", step=step, constraint=1) from err
-    outside = np.zeros(objective_block.shape[0], dtype=bool)
-    if space.shape[0] < objective_block.shape[1]:
-        rows = _equilibrated(objective_block)
-        outside = np.abs(rows - (rows @ space.T) @ space).max(axis=1) > UNBOUNDED_RESIDUAL
+    if outside[0]:
+        try:
+            check_band(constraint_stack, epsilon)
+        except OverflowError as err:
+            raise DeterminationError(f"LP solver gave up: {err}", step=step, constraint=1) from err
     values = []
     for j, row in enumerate(objective_block):
         if outside[j]:
@@ -442,11 +475,9 @@ def determine(
     space = None
     for k in range(int(max_iter)):
         stack = np.vstack(blocks)
-        # a fuller stack never has lower rank, so once full it stays full
-        if space is None or space.shape[0] < sys.n:
-            space = _row_space(stack)
         objective = _advance(blocks[-1], at, k)
-        history.append(_step(stack, objective, space, sys.epsilon, stop_tol, k))
+        outside, space = _unbounded_rows(stack, objective, space)
+        history.append(_step(stack, objective, outside, sys.epsilon, stop_tol, k))
         if history[-1].stopped:
             break
         blocks.append(objective)
@@ -483,8 +514,8 @@ def stop_test(
     block = cap.constraint_rows[: cap.output_dim]
     for _ in range(int(objective_step)):
         block = _advance(block, cap.a_tilde, objective_step)
-    space = _row_space(cap.constraint_rows)
-    record = _step(cap.constraint_rows, block, space, cap.epsilon, stop_tol, objective_step)
+    outside, _ = _unbounded_rows(cap.constraint_rows, block, None)
+    record = _step(cap.constraint_rows, block, outside, cap.epsilon, stop_tol, objective_step)
     return record.stopped, record.values
 
 
