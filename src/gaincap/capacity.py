@@ -459,10 +459,11 @@ def determine(
     negation).  When every maximum is at most ``epsilon + stop_tol`` the
     truncation has converged: k is the determination index and the stacked
     rows describe the capacity set exactly.  An unbounded subproblem or a
-    larger maximum advances k.  Until the stacked rows reach rank n, one SVD
-    per step finds their row space, and a row clearly outside it is
-    recorded as unbounded without a simplex; a fuller stack never has lower
-    rank, so from full rank on every row is solved.  After ``max_iter``
+    larger maximum advances k.  Until the stacked rows reach rank n, a row
+    clearly outside their row space is recorded as unbounded without a
+    simplex; a step takes at most one SVD, and only when a row leaves the
+    row space of an earlier stack.  A fuller stack never has lower rank, so
+    from full rank on every row is solved.  After ``max_iter``
     steps the search stops with status ``"iteration_limit"`` and the
     accumulated rows describe an outer truncation only.
     """
