@@ -15,10 +15,13 @@ detects that fixpoint by linear programming: the band at step k+1 is already
 implied exactly when each signed output row at step k+1 has maximum at most
 epsilon over ``Theta_k``.  ``Theta_k`` is centrally symmetric, so a row and
 its negation have the same maximum and each row is maximized once.  The
-smallest such k is the determination index.  While the stacked rows have
-rank below n, ``Theta_k`` is a cylinder: a row with a part outside the row
-space of the stack (each stacked row scaled by its largest entry) is
-unbounded, and is recorded as such without a simplex.
+smallest such k is the determination index.  One
+:class:`~gaincap.lp.Band` carries the stacked rows through the search, each
+block scaled once as it joins.  While the stack has rank below n,
+``Theta_k`` is a cylinder: a row with a part outside the row space of the
+stack (each stacked row scaled by its largest entry) is unbounded, and is
+recorded as such without a simplex.  The band grows that row space by
+Gram-Schmidt, so the search takes no SVD.
 
 Because trajectories are linear in (alpha, beta), the gain tolerates *every*
 disturbance pair at once exactly when tau0 and each canonical basis vector
@@ -40,7 +43,7 @@ from .linalg import (
     rank,
     spectral_radius,
 )
-from .lp import UNBOUNDED, SimplexBudgetError, check_band, maximize
+from .lp import UNBOUNDED, Band, SimplexBudgetError
 
 __all__ = [
     "DETERMINED",
@@ -71,10 +74,6 @@ DETERMINED = "determined"
 ITERATION_LIMIT = "iteration_limit"
 
 MEMBERSHIP_TOL = 1e-12
-EPS = np.finfo(float).eps
-# a scaled output row whose part outside the constraint rows' row space has
-# an entry above this is unbounded; smaller parts are left to the simplex
-UNBOUNDED_RESIDUAL = 1e-6
 # simulate looks for a state that maps to its own bits once per this many steps
 SETTLE_STRIDE = 64
 
@@ -339,108 +338,39 @@ def _advance(block: np.ndarray, a_tilde: np.ndarray, step: int) -> np.ndarray:
     return out
 
 
-def _equilibrated(rows: np.ndarray) -> np.ndarray:
-    """``rows`` each scaled by its largest absolute entry, the row scale the
-    simplex uses; zero rows stay zero."""
-    scale = np.abs(rows).max(axis=1)
-    scale[scale == 0.0] = 1.0
-    return rows / scale[:, None]
-
-
-def _row_space(stack: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the row space of the equilibrated
-    ``stack``.  The rank counts the singular values above numpy's default
-    rank tolerance; without the scaling a row of tiny entries would read as
-    dependent."""
-    _, singular, vt = np.linalg.svd(_equilibrated(stack), full_matrices=False)
-    # the singular values come sorted, largest first
-    return vt[: np.count_nonzero(singular > singular[0] * max(stack.shape) * EPS)]
-
-
-def _beyond(rows: np.ndarray, space: np.ndarray) -> np.ndarray:
-    """Whether each of the equilibrated ``rows`` has a part outside the span
-    of the orthonormal rows ``space`` with an entry above
-    ``UNBOUNDED_RESIDUAL``."""
-    return np.abs(rows - (rows @ space.T) @ space).max(axis=1) > UNBOUNDED_RESIDUAL
-
-
-def _unbounded_rows(
-    stack: np.ndarray, block: np.ndarray, space: np.ndarray | None
-) -> tuple[list[bool], np.ndarray]:
-    """Which rows of ``block`` lie clearly outside the row space of the
-    equilibrated ``stack`` (see :func:`_beyond`), which makes their band
-    LPs unbounded, and the orthonormal rows to pass with the next stack,
-    ``stack`` plus ``block``.
-
-    ``space`` spans the row space of an earlier stack, or is None.  A
-    fuller stack never has a smaller row space, so a row inside ``space``
-    is inside the row space of ``stack`` too; only when some row is not is
-    that row space taken from one SVD, and it alone decides which rows are
-    outside.  When an outside row lifts the rank to n, the identity stands
-    for the full space, and at full rank no row is outside."""
-    n = stack.shape[1]
-    inside = [False] * block.shape[0]
-    if space is not None and space.shape[0] == n:
-        return inside, space
-    rows = _equilibrated(block)
-    if space is not None and not _beyond(rows, space).any():
-        return inside, space
-    space = _row_space(stack)
-    outside = _beyond(rows, space)
-    if outside.any() and space.shape[0] == n - 1:
-        space = np.eye(n)
-    return outside.tolist(), space
-
-
 def _check_stop_tol(stop_tol: float) -> None:
     if isinstance(stop_tol, bool) or not 0 <= stop_tol < np.inf:
         raise ValueError("stop_tol must be a nonnegative finite number")
 
 
 def _step(
-    constraint_stack: np.ndarray,
-    objective_block: np.ndarray,
-    outside: list[bool],
-    epsilon: float,
-    stop_tol: float,
-    step: int,
+    band: Band, joining: np.ndarray, objective_block: np.ndarray, stop_tol: float, step: int
 ) -> IterationRecord:
-    """One convergence test: the LP maxima of every signed row of
-    ``objective_block`` over the band polyhedron of ``constraint_stack``
+    """One convergence test, once ``joining`` has joined ``band``: the LP
+    maxima of every signed row of ``objective_block`` over the band
     (unbounded programs yield inf), stopped when all are within
-    ``epsilon + stop_tol``.  The polyhedron is centrally symmetric, so each
-    row is maximized once and its negation is recorded with the same
-    maximum.
-
-    Below full rank the polyhedron is a cylinder.  A row flagged in
-    ``outside`` lies clearly outside the row space of the equilibrated
-    stack (see :func:`_unbounded_rows`), so it is unbounded and recorded as
-    inf without a simplex; every other row is left to
-    :func:`~gaincap.lp.maximize`.  The band is checked before any row: by
-    ``maximize`` when the first row reaches it, here when the first row is
-    skipped, so an unscalable band row stops the step at constraint 1 even
-    when no row reaches the simplex."""
-    if outside[0]:
-        try:
-            check_band(constraint_stack, epsilon)
-        except OverflowError as err:
-            raise DeterminationError(f"LP solver gave up: {err}", step=step, constraint=1) from err
+    ``epsilon + stop_tol``.  The band is centrally symmetric, so each row is
+    maximized once and its negation recorded with the same maximum.  A row
+    clearly outside the band's row space (see :meth:`Band.unbounded`) is
+    recorded as inf without a simplex.  A joining row too small to scale
+    against epsilon stops the step at constraint 1, before any row."""
+    try:
+        band.extend(joining)
+    except OverflowError as err:
+        raise DeterminationError(f"LP solver gave up: {err}", step=step, constraint=1) from err
     values = []
-    for j, row in enumerate(objective_block):
-        if outside[j]:
+    for j, (row, outside) in enumerate(zip(objective_block, band.unbounded(objective_block))):
+        if outside:
             values += [np.inf, np.inf]
             continue
         try:
-            outcome = maximize(row, constraint_stack, epsilon)
+            outcome = band.maximize(row)
         except (SimplexBudgetError, OverflowError) as err:
-            raise DeterminationError(
-                f"LP solver gave up: {err}",
-                step=step,
-                constraint=2 * j + 1,
-            ) from err
+            message = f"LP solver gave up: {err}"
+            raise DeterminationError(message, step=step, constraint=2 * j + 1) from err
         value = float("inf") if outcome.status == UNBOUNDED else float(outcome.value)
         values += [value, value]
-    stopped = all(v <= epsilon + stop_tol for v in values)
+    stopped = all(v <= band.epsilon + stop_tol for v in values)
     return IterationRecord(step, tuple(values), stopped)
 
 
@@ -459,35 +389,34 @@ def determine(
     negation).  When every maximum is at most ``epsilon + stop_tol`` the
     truncation has converged: k is the determination index and the stacked
     rows describe the capacity set exactly.  An unbounded subproblem or a
-    larger maximum advances k.  Until the stacked rows reach rank n, a row
-    clearly outside their row space is recorded as unbounded without a
-    simplex; a step takes at most one SVD, and only when a row leaves the
-    row space of an earlier stack.  A fuller stack never has lower rank, so
-    from full rank on every row is solved.  After ``max_iter``
-    steps the search stops with status ``"iteration_limit"`` and the
-    accumulated rows describe an outer truncation only.
+    larger maximum advances k.  One :class:`~gaincap.lp.Band` carries the
+    stack through the search: each block joins it once, equilibrated, and
+    grows its row space.  Until that space has rank n, a row clearly outside
+    it is recorded as unbounded without a simplex; a fuller stack never has
+    lower rank, so from full rank on every row is solved.  After
+    ``max_iter`` steps the search stops with status ``"iteration_limit"``
+    and the accumulated rows describe an outer truncation only.
     """
     at = _resolve_a_tilde(sys, gain, a_tilde)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     _check_stop_tol(stop_tol)
+    band = Band(sys.c[:0], sys.epsilon)  # block k joins at step k, once advanced
     blocks = [sys.c]
     history: list[IterationRecord] = []
-    space = None
     for k in range(int(max_iter)):
-        stack = np.vstack(blocks)
         objective = _advance(blocks[-1], at, k)
-        outside, space = _unbounded_rows(stack, objective, space)
-        history.append(_step(stack, objective, outside, sys.epsilon, stop_tol, k))
+        history.append(_step(band, blocks[-1], objective, stop_tol, k))
         if history[-1].stopped:
             break
         blocks.append(objective)
-    # on the limit the last stack holds steps 0..max_iter-1
+    # on the limit the last block never joined: the rows hold steps 0..max_iter-1
     stopped = history[-1].stopped
-    stack.setflags(write=False)
+    rows = np.vstack(blocks[: len(history)])
+    rows.setflags(write=False)
     return CapacitySet(
         a_tilde=at,
-        constraint_rows=stack,
+        constraint_rows=rows,
         epsilon=sys.epsilon,
         output_dim=sys.p,
         k0=history[-1].step if stopped else None,
@@ -503,20 +432,20 @@ def stop_test(
 
     Maximizes each output row at ``objective_step`` over the set's stored
     constraints (its negation has the same maximum by symmetry) and reports
-    whether all signed maxima stay within ``epsilon + stop_tol``.  For a
-    determined set this must pass at every step beyond k0 — the fixpoint,
-    once reached, persists.
+    whether all signed maxima stay within ``epsilon + stop_tol``, over a
+    band the stored rows join as one block.  For a determined set this must
+    pass at every step beyond k0 — the fixpoint, once reached, persists.
     """
     if objective_step < 0:
         raise ValueError("objective_step must be nonnegative")
     _check_stop_tol(stop_tol)
-    # a caller-built set enters here; the band check in _step checks epsilon
+    # a caller-built set enters here; the band checks epsilon
     as_matrix(cap.constraint_rows, "constraint rows")
     block = cap.constraint_rows[: cap.output_dim]
     for _ in range(int(objective_step)):
         block = _advance(block, cap.a_tilde, objective_step)
-    outside, _ = _unbounded_rows(cap.constraint_rows, block, None)
-    record = _step(cap.constraint_rows, block, outside, cap.epsilon, stop_tol, objective_step)
+    band = Band(cap.constraint_rows[:0], cap.epsilon)
+    record = _step(band, cap.constraint_rows, block, stop_tol, objective_step)
     return record.stopped, record.values
 
 

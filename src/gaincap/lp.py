@@ -1,42 +1,43 @@
 """Dense linear programming over a symmetric band by a one-phase simplex.
 
 Every LP of the fixpoint search asks for the largest value of ``c . x``
-over a band ``|s x| <= epsilon``, with x sign-free.  :func:`maximize` states
-it as ``[s; -s] x <= epsilon``; as epsilon >= 0 the origin is feasible, so
-the all-slack basis at the origin is the start vertex and no phase 1 is
-needed.  Internally each free variable is split into a difference of two
-nonnegative variables and one slack is appended per constraint.
+over a band ``|s x| <= epsilon``, x sign-free, stated as
+``[s; -s] x <= epsilon``.  As epsilon >= 0 the origin is feasible, so the
+all-slack basis at the origin is the start vertex and no phase 1 is needed.
+A :class:`Band` holds the band of a stack that grows by one block of rows
+per step.  Each row is equilibrated (scaled by its largest absolute entry)
+once, when it joins; that is exactly invertible, leaves the feasible set
+untouched, and keeps the tableau well-conditioned when rows span many
+orders of magnitude.  The LPs over one stack copy one shared tableau body,
+and the band grows an orthonormal basis of its row space, which answers a
+row clearly outside it as unbounded without a simplex.
 
 All simplex state lives in one compact tableau that keeps only the
-nonbasic columns.  At the origin it is ``[G | -G | h]`` over the
-reduced-cost row ``[c | -c | 0]``, with ``G = [s; -s]``, the right-hand
-side ``h`` as the last column, and the label arrays ``basis`` and
-``nonbasic`` naming the variable of each row and of each column.  A pivot
-swaps two labels and writes the leaving variable's column where the
-entering one stood, so the unit columns of the basic variables are never
-stored.
+nonbasic columns: each free variable is split into two nonnegative ones
+and each constraint has a slack.  At the origin the tableau is
+``[G | -G | h]``, with ``G`` the equilibrated ``[s; -s]`` and the scaled
+bounds ``h``, over the reduced-cost row ``[c | -c | 0]``; the label arrays
+``basis`` and ``nonbasic`` name the variable of each row and column.  A
+pivot swaps two labels and writes the leaving variable's column where the
+entering one stood, so the unit columns of basic variables are never stored.
 
-The entering column is Dantzig's: the one with the largest reduced cost.
-One ``argmax`` of the reduced-cost row both picks it and ends the phase:
-the LP is optimal when no reduced cost exceeds ``PIVOT_TOL``.  As
-``argmax`` returns the first NaN, a full scan of the row confirms the end
-whenever the picked entry fails that test.  The ratio test runs over the
-candidate rows only, those whose pivot-column entry exceeds ``PIVOT_TOL``,
-and the leaving row is, among their ratio ties, the one whose basic
-variable has the smallest label.  Rows that are no candidate never enter
-the choice, except on an inf or NaN ratio, where the choice is the one a
-scan over every row would make.  Dantzig's rule can cycle on a degenerate
-vertex, so after half the pivot budget the entering scan switches to
-Bland's rule (the improving column with the smallest label), which with
-that leaving rule never cycles.  The iteration count is therefore finite;
-a hard budget of ``50 * (variables + constraints)`` pivots guards against
-numerical stalls and raises :class:`SimplexBudgetError` when exceeded.
-
-Rows of [G | h] and the objective are equilibrated (scaled by their largest
-absolute coefficient) before the tableau is built.  That is exactly
-invertible, leaves the feasible set untouched, and keeps the tableau
-well-conditioned when constraint rows span many orders of magnitude; the
-reported value is recomputed from the caller's own data.
+The entering column is Dantzig's, the one with the largest reduced cost.
+One ``argmax`` both picks it and ends the phase: the LP is optimal when no
+reduced cost exceeds ``PIVOT_TOL``.  As ``argmax`` returns the first NaN,
+a full scan of the row confirms the end whenever the picked entry fails
+that test.  The ratio test runs over the candidate rows only, those whose
+pivot-column entry exceeds ``PIVOT_TOL``, and the leaving row is, among
+their ratio ties, the one whose basic variable has the smallest label.  A
+ratio past the float range is inf, so it never blocks a finite one.  Rows
+that are no candidate never enter the choice, except on a NaN ratio or when
+no ratio is finite, where the choice is the one a scan over every row would
+make.  Dantzig's rule can cycle on a degenerate vertex, so after half the
+pivot budget the entering scan switches to Bland's rule (the improving
+column with the smallest label), which with that leaving rule never cycles.
+A hard budget of ``50 * (variables + constraints)`` pivots guards against
+numerical stalls and raises :class:`SimplexBudgetError` when exceeded.  The
+objective is scaled by its largest entry too; the reported value is
+recomputed from the caller's own data.
 """
 
 from __future__ import annotations
@@ -47,12 +48,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OPTIMAL", "UNBOUNDED", "LpOutcome", "SimplexBudgetError", "check_band", "maximize"]
+__all__ = ["OPTIMAL", "UNBOUNDED", "Band", "LpOutcome", "SimplexBudgetError", "maximize"]
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
+EPS = np.finfo(float).eps
+# a row whose equilibrated part outside a band's row space has an entry
+# above this is unbounded over the band; smaller parts are left to the simplex
+UNBOUNDED_RESIDUAL = 1e-6
 
 
 class SimplexBudgetError(RuntimeError):
@@ -90,34 +95,98 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab -= np.multiply.outer(factors, tab[row])
 
 
-def check_band(s: np.ndarray, epsilon: float) -> float:
-    """``epsilon`` as a float, once the band ``|s x| <= epsilon`` has passed
-    the checks :func:`maximize` makes before any simplex.  Raises
-    :class:`ValueError` when epsilon is negative or not finite, and
-    :class:`OverflowError` when epsilon over the largest entry of a row of
-    ``s`` has no float value, as the scaled tableau would then hold inf."""
-    epsilon = float(epsilon)
-    if not 0.0 <= epsilon < np.inf:
-        raise ValueError("epsilon must be finite and nonnegative: the origin is the start vertex")
-    # the largest scaled bound comes from the smallest nonzero row scale; a
-    # division of Python floats overflows to inf without a numpy warning
-    scale = np.abs(s).max(axis=1)
-    if epsilon / float(scale.min(where=scale > 0.0, initial=np.inf)) == np.inf:
-        raise OverflowError("epsilon over a band row's scale left the floating-point range")
-    return epsilon
+def _scale(rows: np.ndarray) -> np.ndarray:
+    """The largest absolute entry of each row, by which equilibration
+    divides it; 1 for a zero row, which stays zero."""
+    scale = np.abs(rows).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    return scale
+
+
+class Band:
+    """The band ``|s x| <= epsilon`` of a stack of rows ``s`` that grows by
+    :meth:`extend`, with what every LP over it shares.
+
+    Each row is equilibrated once, when it joins, and its bound scaled with
+    it to ``epsilon / scale``.  Raises :class:`ValueError` when epsilon is
+    negative or not finite.
+    """
+
+    def __init__(self, s: np.ndarray, epsilon: float):
+        self.epsilon = float(epsilon)
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and nonnegative: the origin is the start vertex")
+        n = s.shape[1]
+        self.size = self.rank = self._spanned = 0  # _spanned rows have entered the basis
+        self._upper = np.empty((0, 2 * n + 1))  # [rows | -rows | bounds], doubled when full
+        self._basis = np.empty((n, n))  # the first `rank` rows span the row space
+        self._body = None
+        self.extend(s)
+
+    def extend(self, rows: np.ndarray) -> None:
+        """Let ``rows`` join the band.  Raises :class:`OverflowError`, before
+        any row joins, when epsilon over the largest entry of a row has no
+        float value, as the scaled tableau would then hold inf."""
+        scale = _scale(rows)
+        # the largest scaled bound comes from the smallest row scale; a
+        # division of Python floats overflows to inf without a numpy warning
+        if self.epsilon / float(scale.min(initial=np.inf)) == np.inf:
+            raise OverflowError("epsilon over a band row's scale left the floating-point range")
+        n, size = rows.shape[1], self.size + rows.shape[0]
+        if size > self._upper.shape[0]:
+            grown = np.empty((2 * size, 2 * n + 1))
+            grown[: self.size] = self._upper[: self.size]
+            self._upper = grown
+        joining = self._upper[self.size : size]
+        joining[:, :n] = rows / scale[:, None]
+        joining[:, n:-1] = -joining[:, :n]
+        joining[:, -1] = self.epsilon / scale
+        self.size, self._body = size, None
+
+    def unbounded(self, rows: np.ndarray) -> list[bool]:
+        """Whether each of ``rows`` lies clearly outside the row space of the
+        band's equilibrated rows, which makes its LP unbounded: whether the
+        part of the equilibrated row outside that space has an entry above
+        ``UNBOUNDED_RESIDUAL``.  Smaller parts are left to the simplex.
+
+        Rows that joined since the last call first enter the basis by
+        Gram-Schmidt applied twice.  Row ``r`` adds a direction when its
+        part outside the basis passes numpy's default rank tolerance, with
+        ``sqrt(r * n)``, a bound on the norm of the equilibrated stack, for
+        its largest singular value.  From rank n on no row is outside."""
+        n = self._basis.shape[0]
+        for row in self._upper[self._spanned : self.size, :n] if self.rank < n else ():
+            self._spanned += 1
+            basis = self._basis[: self.rank]
+            part = row - (row @ basis.T) @ basis
+            part -= (part @ basis.T) @ basis
+            norm = math.sqrt(part @ part)
+            if norm > max(self._spanned, n) * EPS * math.sqrt(self._spanned * n):
+                self._basis[self.rank] = part / norm
+                self.rank += 1
+                if self.rank == n:
+                    break
+        if self.rank == n:
+            return [False] * rows.shape[0]
+        rows, basis = rows / _scale(rows)[:, None], self._basis[: self.rank]
+        return (np.abs(rows - (rows @ basis.T) @ basis).max(axis=1) > UNBOUNDED_RESIDUAL).tolist()
+
+    def maximize(self, objective: np.ndarray) -> LpOutcome:
+        """Maximize ``objective . x`` over the band, x sign-free.
+
+        Returns an :class:`LpOutcome` with status ``optimal`` (point and
+        value set) or ``unbounded``.  Raises :class:`OverflowError` when the
+        maximum has no float value."""
+        if self._body is None:  # [G | -G | h], shared until the next extend
+            upper = self._upper[: self.size]
+            self._body = np.concatenate([upper, -upper])
+            self._body[self.size :, -1] *= -1.0  # -rows keep their bounds
+        return _solve(self._body, objective)
 
 
 def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
-    """Maximize ``objective . x`` subject to ``|s x| <= epsilon``, x sign-free.
-
-    Returns an :class:`LpOutcome` with status ``optimal`` (point and value
-    set) or ``unbounded``.  Raises :class:`OverflowError` when epsilon over
-    the largest entry of a row of ``s`` has no float value, as the scaled
-    tableau would then hold inf, and when the maximum has none.
-    """
-    epsilon = check_band(s, epsilon)
-    g = np.vstack([s, -s])
-    return _simplex(objective, g, np.full(g.shape[0], epsilon))
+    """:meth:`Band.maximize` over the band ``|s x| <= epsilon``."""
+    return Band(s, epsilon).maximize(objective)
 
 
 def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None) -> LpOutcome:
@@ -125,55 +194,56 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
     float arrays.  ``iteration_budget`` overrides the default pivot budget
     of ``50 * (variables + constraints)``.  Raises :class:`OverflowError`
     when the maximum has no float value."""
-    n = c.shape[0]
-    r = g.shape[0]
-    budget = 50 * (n + r) if iteration_budget is None else int(iteration_budget)
-
-    # row equilibration of [G | h] and objective scaling (exactly invertible)
-    row_scale = np.max(np.abs(g), axis=1)
-    row_scale[row_scale == 0.0] = 1.0
+    row_scale = _scale(g)
     g = g / row_scale[:, None]
-    h = h / row_scale
-    obj_scale = float(np.max(np.abs(c)))
-    if obj_scale == 0.0:
-        obj_scale = 1.0
-    c_s = c / obj_scale
+    return _solve(np.hstack([g, -g, (h / row_scale)[:, None]]), c, iteration_budget)
+
+
+def _solve(body: np.ndarray, c: np.ndarray, iteration_budget=None) -> LpOutcome:
+    """The simplex from the origin over the equilibrated tableau body
+    ``[G | -G | h]``, which it leaves untouched."""
+    n, r = c.shape[0], body.shape[0]
+    budget = 50 * (n + r) if iteration_budget is None else int(iteration_budget)
+    c_s = c / (float(np.max(np.abs(c))) or 1.0)
 
     # split free variables; the slacks start basic at the origin, where the
     # reduced costs are the scaled objective itself
-    tab = np.vstack([np.hstack([g, -g, h[:, None]]), np.concatenate([c_s, -c_s, [0.0]])])
+    tab = np.vstack([body, np.concatenate([c_s, -c_s, [0.0]])])
     basis = np.arange(2 * n, 2 * n + r)
     nonbasic = np.arange(2 * n)
     reduced, rhs = tab[-1, :-1], tab[:-1, -1]  # views, updated in place by _pivot
 
-    for pivots in itertools.count():
-        # Dantzig's rule, then Bland's for the second half of the budget
-        if pivots < budget // 2:
-            col = int(reduced.argmax())
-            # argmax returns the first NaN, so only a full scan may end
-            if not reduced[col] > PIVOT_TOL and not (reduced > PIVOT_TOL).any():
-                break
-        else:
-            improving = reduced > PIVOT_TOL
-            if not improving.any():
-                break
-            col = int(np.argmin(np.where(improving, nonbasic, 2 * n + r)))
-        column = tab[:-1, col]
-        candidates = (column > PIVOT_TOL).nonzero()[0]
-        if not candidates.size:
-            return LpOutcome(UNBOUNDED, pivots=pivots)
-        ratios = np.maximum(rhs[candidates], 0.0) / column[candidates]
-        best = float(ratios.min())
-        limit = best + 1e-12 * (1.0 + best)
-        if limit < np.inf:
-            ties = candidates[ratios <= limit]
-        else:  # an inf or NaN ratio: every row ties, or none and row 0 is taken
-            ties = np.arange(r) if limit == np.inf else np.zeros(1, dtype=int)
-        row = int(ties[basis[ties].argmin()])
-        if pivots >= budget:
-            raise SimplexBudgetError(f"pivot budget of {budget} exhausted ({r} constraints)")
-        _pivot(tab, row, col)
-        basis[row], nonbasic[col] = nonbasic[col], basis[row]
+    # a ratio or a tableau entry past the float range is inf; one errstate
+    # for the whole loop costs less than one per ratio test
+    with np.errstate(over="ignore"):
+        for pivots in itertools.count():
+            # Dantzig's rule, then Bland's for the second half of the budget
+            if pivots < budget // 2:
+                col = int(reduced.argmax())
+                # argmax returns the first NaN, so only a full scan may end
+                if not reduced[col] > PIVOT_TOL and not (reduced > PIVOT_TOL).any():
+                    break
+            else:
+                improving = reduced > PIVOT_TOL
+                if not improving.any():
+                    break
+                col = int(np.argmin(np.where(improving, nonbasic, 2 * n + r)))
+            column = tab[:-1, col]
+            candidates = (column > PIVOT_TOL).nonzero()[0]
+            if not candidates.size:
+                return LpOutcome(UNBOUNDED, pivots=pivots)
+            ratios = np.maximum(rhs[candidates], 0.0) / column[candidates]
+            best = float(ratios.min())
+            limit = best + 1e-12 * (1.0 + best)
+            if limit < np.inf:
+                ties = candidates[ratios <= limit]
+            else:  # an inf or NaN ratio: every row ties, or none and row 0 is taken
+                ties = np.arange(r) if limit == np.inf else np.zeros(1, dtype=int)
+            row = int(ties[basis[ties].argmin()])
+            if pivots >= budget:
+                raise SimplexBudgetError(f"pivot budget of {budget} exhausted ({r} constraints)")
+            _pivot(tab, row, col)
+            basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
     x_split = np.zeros(2 * n + r)
     x_split[basis] = rhs

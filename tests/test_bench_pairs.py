@@ -71,6 +71,29 @@ def test_summary_fits_peak_rss_against_verdicts():
     assert fit["change"]["runs"] == 3
 
 
+def test_summary_predicts_the_rss_change_more_verdicts_make():
+    # the parent holds 40 MB + 2 KB per verdict; the change makes 512 more
+    # verdicts per run at the same peak, so the parent's fit predicts a rise
+    # of 1 MB on the parent's median of 42.25 MB that was not measured
+    runs = []
+    for pair, verdicts in enumerate([1000, 1100, 1200, 1300]):
+        rss = 40.0 + verdicts * 2 / 1024
+        runs += [run("parent", pair, pair, 1.0, 1.0, verdicts, rss=rss),
+                 run("change", pair, pair, 1.0, 1.0, verdicts + 512, rss=rss)]
+    metrics = METRICS + [{"name": "peak_rss_mb", "better": "lower"}]
+    rss = bench_pairs.summarize_group(runs, metrics)["peak_rss_mb"]
+    assert rss["median_change_pct"] == 0.0
+    parent_median = 40.0 + 1150 * 2 / 1024
+    assert rss["fit_predicted_change_pct"] == pytest.approx(100.0 / parent_median)
+    assert list(rss)[2:4] == ["median_change_pct", "fit_predicted_change_pct"]
+    # one verdict count on the parent side: no fit, so no prediction
+    for r in runs:
+        if r["side"] == "parent":
+            r["stdout_last_two"][0] = json.dumps({"workload": "cli", "verdicts": 1000})
+    rss = bench_pairs.summarize_group(runs, metrics)["peak_rss_mb"]
+    assert rss["fit_predicted_change_pct"] is None
+
+
 def test_seed_range():
     assert bench_pairs.seed_range("1301-1303") == [1301, 1302, 1303]
     assert bench_pairs.seed_range("7") == [7]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -708,15 +709,15 @@ def test_one_lp_per_output_row(name, monkeypatch):
     # outside the row space of the stack is unbounded without a solve, and
     # every other row is solved
     problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
-    original = gaincap.capacity.maximize
+    original = gaincap.lp.Band.maximize
     calls = {}
 
-    def counting_maximize(objective, s, epsilon):
-        # the stack's height names the step
-        calls.setdefault(s.shape[0], []).append(objective.tobytes())
-        return original(objective, s, epsilon)
+    def counting_maximize(band, objective):
+        # the band's height names the step
+        calls.setdefault(band.size, []).append(objective.tobytes())
+        return original(band, objective)
 
-    monkeypatch.setattr(gaincap.capacity, "maximize", counting_maximize)
+    monkeypatch.setattr(gaincap.lp.Band, "maximize", counting_maximize)
     loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {}
     cap = determine(
         problem.system, problem.gain, **loop,
@@ -738,13 +739,11 @@ def test_one_lp_per_output_row(name, monkeypatch):
     assert not calls
 
 
-def test_rank_test_matches_the_primal():
-    # every recorded maximum, skipped or solved, is bit for bit the primal's
-    # over that step's stack, on loops with p < n whose stacks stay below
-    # full rank for several steps
-    rng = np.random.default_rng(31)
-    seen = {"skipped": 0, "finite below full rank": 0}
-    for trial in range(40):
+def rank_test_loops(seed, count):
+    """Loops with p < n whose stacks stay below full rank for several steps,
+    each as its system; a_tilde is ``system.a``."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
         kind = trial % 4
         n = int(rng.integers(3, 7))
         p = 2 if kind == 1 else int(rng.integers(1, n))
@@ -763,23 +762,64 @@ def test_rank_test_matches_the_primal():
         elif kind == 3 and p >= 2:
             c[-1] = 0.0
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        a_tilde, c = q @ a @ q.T, c @ q.T
-        sys_ = SystemSpec(a_tilde, None, c, np.zeros(n), float(rng.uniform(0.5, 2.0)))
-        cap = determine(sys_, a_tilde=a_tilde, max_iter=30)
-        rows = sensitivity_rows(sys_, cap.a_tilde, len(cap.history))
-        for record in cap.history:
-            stack = rows[: p * (record.step + 1)]
-            expected = []
-            for row in rows[p * (record.step + 1) : p * (record.step + 2)]:
-                outcome = gaincap.lp.maximize(row, stack, sys_.epsilon)
-                value = math.inf if outcome.status == gaincap.lp.UNBOUNDED else outcome.value
-                expected += [value, value]
-            assert np.array(record.values).tobytes() == np.array(expected).tobytes()
-            if np.linalg.matrix_rank(stack) < n:
-                finite = np.isfinite(record.values[0::2])
-                seen["finite below full rank"] += int(finite.sum())
-                seen["skipped"] += int((~finite).sum())
-    assert min(seen.values()) > 0, seen
+        yield SystemSpec(q @ a @ q.T, None, c @ q.T, np.zeros(n), float(rng.uniform(0.5, 2.0)))
+
+
+def assert_matches_the_primal(sys_, cap):
+    """Every recorded maximum, skipped or solved, is bit for bit the
+    primal's over that step's stack; returns the skipped and the finite
+    maxima below full rank."""
+    p, n = sys_.p, sys_.n
+    rows = sensitivity_rows(sys_, cap.a_tilde, len(cap.history))
+    skipped = finite = 0
+    for record in cap.history:
+        stack = rows[: p * (record.step + 1)]
+        expected = []
+        for row in rows[p * (record.step + 1) : p * (record.step + 2)]:
+            outcome = gaincap.lp.maximize(row, stack, sys_.epsilon)
+            value = math.inf if outcome.status == gaincap.lp.UNBOUNDED else outcome.value
+            expected += [value, value]
+        assert np.array(record.values).tobytes() == np.array(expected).tobytes()
+        if np.linalg.matrix_rank(stack) < n:
+            finite += int(np.isfinite(record.values[0::2]).sum())
+            skipped += int(np.isinf(record.values[0::2]).sum())
+    return skipped, finite
+
+
+@pytest.mark.parametrize("seed", [31, 47, 53])
+def test_rank_test_matches_the_primal(seed):
+    # on loops whose stacks stay below full rank for several steps, rows
+    # are both skipped and solved to a finite maximum
+    seen = np.zeros(2, dtype=int)
+    for sys_ in rank_test_loops(seed, 40):
+        seen += assert_matches_the_primal(sys_, determine(sys_, a_tilde=sys_.a, max_iter=30))
+    assert seen.min() > 0, seen
+
+
+def test_determination_calls_no_linalg_routine(monkeypatch):
+    # the band grows its row space by Gram-Schmidt: no SVD, QR or rank
+    # routine runs in determine or stop_test, below full rank or at it
+    systems = list(rank_test_loops(31, 8))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    for sys_ in systems:
+        cap = determine(sys_, a_tilde=sys_.a, max_iter=30)
+        stop_test(cap, len(cap.history))
+
+
+def test_ratio_past_the_float_range_never_blocks():
+    # loop 114 of seed 2 has a band row of scale near 1e-300, whose scaled
+    # bound near 1e300 over a small pivot-column entry overflows the ratio
+    # test; that ratio is inf without a warning, and a finite one blocks
+    sys_ = next(itertools.islice(rank_test_loops(2, 115), 114, None))
+    cap = determine(sys_, a_tilde=sys_.a, max_iter=30)
+    assert (cap.status, cap.k0) == (DETERMINED, 16)
+    assert_matches_the_primal(sys_, cap)
 
 
 def test_determine_pivot_count_tripwire(monkeypatch):
@@ -793,18 +833,49 @@ def test_determine_pivot_count_tripwire(monkeypatch):
     a_tilde = 0.99 * q * np.sign(np.diag(r))
     c = rng.standard_normal((2, 8))
     c /= np.linalg.norm(c, axis=1, keepdims=True)
-    original = gaincap.capacity.maximize
+    original = gaincap.lp.Band.maximize
     pivots = []
 
-    def counting_maximize(objective, s, epsilon):
-        outcome = original(objective, s, epsilon)
+    def counting_maximize(band, objective):
+        outcome = original(band, objective)
         pivots.append(outcome.pivots)
         return outcome
 
-    monkeypatch.setattr(gaincap.capacity, "maximize", counting_maximize)
+    monkeypatch.setattr(gaincap.lp.Band, "maximize", counting_maximize)
     cap = determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
     assert (cap.k0, cap.status, len(pivots)) == (47, DETERMINED, 90)
     assert sum(pivots) == 1254
+
+
+def test_constraint_rows_own_their_bytes():
+    # the rows are one fresh array when the search stops and at its limit,
+    # never a view into a larger buffer that each kept verdict would hold
+    rng = np.random.default_rng(0)
+    q, r = np.linalg.qr(rng.standard_normal((8, 8)))
+    a_tilde = 0.99 * q * np.sign(np.diag(r))
+    sys_ = SystemSpec(a_tilde, None, rng.standard_normal((2, 8)), np.zeros(8), 0.3)
+    for max_iter, status, steps in ((200, DETERMINED, None), (9, ITERATION_LIMIT, 9)):
+        cap = determine(sys_, a_tilde=a_tilde, max_iter=max_iter)
+        rows = cap.constraint_rows
+        assert cap.status == status
+        assert rows.shape == (2 * (steps or cap.k0 + 1), 8)
+        assert rows.base is None
+        assert rows.nbytes == rows.shape[0] * 8 * 8
+
+
+def test_advance_overflow_wins_over_an_unscalable_band_row():
+    # block 1 holds a row of subnormal scale, which the band cannot scale
+    # against epsilon, and a row that overflows one step later; step 1
+    # stops at the overflowing row's constraint 3, not at constraint 1
+    a_tilde = [[0.0, 0.0, 1e-309], [0.0, 0.0, 1e300], [0.0, 0.0, 1e10]]
+    sys_ = SystemSpec(a_tilde, None, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.1] * 3, 1.0)
+    with pytest.raises(DeterminationError, match="output row 2 overflowed") as err:
+        determine(sys_, a_tilde=a_tilde)
+    assert (err.value.step, err.value.constraint) == (1, 3)
+    a_tilde[2][2] = 1.0
+    with pytest.raises(DeterminationError, match="band row's scale") as err:
+        determine(sys_, a_tilde=a_tilde)
+    assert (err.value.step, err.value.constraint) == (1, 1)
 
 
 def test_stop_test_rejects_negative_band():

@@ -4,6 +4,7 @@ import pytest
 from gaincap.lp import (
     OPTIMAL,
     UNBOUNDED,
+    Band,
     LpOutcome,
     SimplexBudgetError,
     _simplex,
@@ -54,6 +55,68 @@ def test_maximize_refuses_unscalable_band_row():
     assert maximize(np.array([0.0, 1e-309]), s, 0.0).value == 0.0
     s[1, 1] = 1e-300
     assert maximize(np.array([0.0, 1e-300]), s, 1.0).value == pytest.approx(1.0)
+
+
+def test_ratio_past_the_float_range_never_blocks():
+    # row 0's scaled bound 1e308 over its pivot-column entry 0.01 overflows
+    # the ratio test without a warning; the inf ratio never blocks, and
+    # row 1's finite one does
+    s = np.array([[1e-308, 1e-310], [0.0, 1.0]])
+    out = maximize(np.array([0.0, 1.0]), s, 1.0)
+    assert (out.status, out.value) == (OPTIMAL, 1.0)
+
+
+def equilibrated_rank(rows):
+    scale = np.abs(rows).max(axis=1, keepdims=True)
+    return np.linalg.matrix_rank(rows / np.where(scale == 0.0, 1.0, scale))
+
+
+def test_band_basis_rank_matches_matrix_rank():
+    # the band grows its row space's basis by Gram-Schmidt as blocks join;
+    # its rank is numpy's over the equilibrated stack after every block, on
+    # stacks with dependent rows, rows 1e-7 apart, zero rows and rows of
+    # scale 1e-300, and the basis stays orthonormal
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        n = int(rng.integers(2, 8))
+        r = int(rng.integers(1, 3 * n))
+        rank = int(rng.integers(0, n + 1))
+        s = rng.standard_normal((r, rank)) @ rng.standard_normal((rank, n))
+        pick = int(rng.integers(r))
+        if trial % 4 == 1:
+            s[pick] = s[0] + 1e-7 * rng.standard_normal(n)
+        elif trial % 4 == 2:
+            s[pick] = 0.0
+        elif trial % 4 == 3:
+            s[pick] *= 1e-300
+        band = Band(s[:0], 1.0)
+        for block in np.array_split(s, int(rng.integers(1, r + 1))):
+            band.extend(block)
+            band.unbounded(block)
+            assert band.rank == equilibrated_rank(s[: band.size])
+        basis = band._basis[: band.rank]
+        assert np.allclose(basis @ basis.T, np.eye(band.rank), rtol=0.0, atol=1e-12)
+
+
+def test_band_grown_by_blocks_solves_as_one_stack():
+    # a band extended block by block shares one tableau body per stack, and
+    # its LPs are bit for bit those over the whole stack at once; a row it
+    # finds outside the stack's row space is unbounded
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        epsilon = float(rng.uniform(0.5, 2.0))
+        band, blocks = Band(np.zeros((0, n)), epsilon), []
+        for _ in range(int(rng.integers(1, 5))):
+            blocks.append(rng.standard_normal((int(rng.integers(1, 3)), n)))
+            band.extend(blocks[-1])
+            rows = rng.standard_normal((3, n))
+            for row, outside in zip(rows, band.unbounded(rows)):
+                got, whole = band.maximize(row), maximize(row, np.vstack(blocks), epsilon)
+                assert (got.status, got.value, got.pivots) == (
+                    whole.status, whole.value, whole.pivots
+                )
+                assert not outside or got.status == UNBOUNDED
 
 
 def test_maximum_past_the_float_range_raises():

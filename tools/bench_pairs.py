@@ -23,7 +23,10 @@ percentiles), the median change in percent, the parent's IQR and the pairs
 the change won (ties count for neither), plus each side's verdict counts,
 each side's least-squares fit of peak_rss_mb against its verdict count (MB
 intercept, KB per verdict), the failures summed per side, and the seeds.
-The fit tells memory the benchmark keeps per verdict apart from gaincap's.
+The fit tells memory the benchmark keeps per verdict apart from gaincap's:
+next to peak_rss_mb's median change, ``fit_predicted_change_pct`` is the
+change the parent's fit predicts at the change side's median verdict count,
+the part of the change that more verdicts alone would make.
 """
 
 from __future__ import annotations
@@ -84,6 +87,8 @@ def summarize_group(runs: list[dict], metrics: list[dict]) -> dict:
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run
     pairs = [by_pair[p] for p in sorted(by_pair) if len(by_pair[p]) == 2]
+    verdicts = {side: [_lines(pair[side])[0].get("verdicts") for pair in pairs] for side in SIDES}
+    fits = {side: rss_fit([pair[side] for pair in pairs]) for side in SIDES}
     summary = {}
     for metric in metrics:
         name = metric["name"]
@@ -101,16 +106,31 @@ def summarize_group(runs: list[dict], metrics: list[dict]) -> dict:
             "parent_q1_median_q3": p_q.tolist(),
             "change_q1_median_q3": c_q.tolist(),
             "median_change_pct": float((c_q[1] / p_q[1] - 1.0) * 100.0),
+        }
+        if name == "peak_rss_mb":
+            summary[name]["fit_predicted_change_pct"] = predicted_rss_change(
+                fits["parent"], verdicts["change"], p_q[1])
+        summary[name].update({
             "parent_iqr": float(p_q[2] - p_q[0]),
             "change_better_pairs": f"{int(won.sum())}/{len(complete)}",
-        }
-    summary["verdicts"] = {side: [_lines(pair[side])[0].get("verdicts") for pair in pairs]
-                           for side in SIDES}
-    summary["rss_fit"] = {side: rss_fit([pair[side] for pair in pairs]) for side in SIDES}
+        })
+    summary["verdicts"] = verdicts
+    summary["rss_fit"] = fits
     summary["failed"] = {side: sum(_lines(pair[side])[1].get("failed", 0) for pair in pairs)
                          for side in SIDES}
     summary["seeds"] = [pair["parent"]["seed"] for pair in pairs]
     return summary
+
+
+def predicted_rss_change(fit: dict | None, verdicts: list, parent_median: float) -> float | None:
+    """The peak_rss_mb change in percent of ``parent_median`` that ``fit``
+    predicts at the median of ``verdicts``, or None without a fit or a
+    verdict count."""
+    counts = [v for v in verdicts if v is not None]
+    if fit is None or not counts:
+        return None
+    predicted = fit["mb_intercept"] + fit["kb_per_verdict"] / 1024.0 * float(np.median(counts))
+    return float((predicted / parent_median - 1.0) * 100.0)
 
 
 def rss_fit(runs: list[dict]) -> dict | None:
