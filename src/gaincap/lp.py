@@ -121,7 +121,8 @@ class Band:
         self._upper = np.empty((0, 2 * n + 1))  # [rows | -rows | bounds], doubled when full
         self._basis = np.empty((n, n))  # the first `rank` rows span the row space
         self._body = None
-        self.extend(s)
+        if len(s):  # determine starts empty, and its rows join step by step
+            self.extend(s)
 
     def extend(self, rows: np.ndarray) -> None:
         """Let ``rows`` join the band.  Raises :class:`OverflowError`, before
@@ -139,7 +140,7 @@ class Band:
             self._upper = grown
         joining = self._upper[self.size : size]
         joining[:, :n] = rows / scale[:, None]
-        joining[:, n:-1] = -joining[:, :n]
+        np.negative(joining[:, :n], out=joining[:, n:-1])
         joining[:, -1] = self.epsilon / scale
         self.size, self._body = size, None
 
@@ -172,11 +173,10 @@ class Band:
         return (np.abs(rows - (rows @ basis.T) @ basis).max(axis=1) > UNBOUNDED_RESIDUAL).tolist()
 
     def maximize(self, objective: np.ndarray) -> LpOutcome:
-        """Maximize ``objective . x`` over the band, x sign-free.
-
-        Returns an :class:`LpOutcome` with status ``optimal`` (point and
-        value set) or ``unbounded``.  Raises :class:`OverflowError` when the
-        maximum has no float value."""
+        """Maximize ``objective . x`` over the band, x sign-free: an
+        :class:`LpOutcome` with status ``optimal`` (point and value set) or
+        ``unbounded``.  Raises :class:`OverflowError` when the maximum has
+        no float value."""
         if self._body is None:  # [G | -G | h], shared until the next extend
             upper = self._upper[: self.size]
             self._body = np.concatenate([upper, -upper])
@@ -208,7 +208,7 @@ def _solve(body: np.ndarray, c: np.ndarray, iteration_budget=None) -> LpOutcome:
 
     # split free variables; the slacks start basic at the origin, where the
     # reduced costs are the scaled objective itself
-    tab = np.vstack([body, np.concatenate([c_s, -c_s, [0.0]])])
+    tab = np.concatenate([body, np.concatenate([c_s, -c_s, [0.0]])[None]])
     basis = np.arange(2 * n, 2 * n + r)
     nonbasic = np.arange(2 * n)
     reduced, rhs = tab[-1, :-1], tab[:-1, -1]  # views, updated in place by _pivot
