@@ -17,7 +17,7 @@ epsilon over ``Theta_k``.  ``Theta_k`` is centrally symmetric, so a row and
 its negation have the same maximum and each row is maximized once.  The
 smallest such k is the determination index.  One
 :class:`~gaincap.lp.Band` carries the stacked rows through the search, each
-block scaled once as it joins.  While the stack has rank below n,
+block scaled once, for its LPs and its join.  While the stack has rank below n,
 ``Theta_k`` is a cylinder: a row with a part outside the row space of the
 stack (each stacked row scaled by its largest entry) is unbounded, and is
 recorded as such without a simplex.  The band grows that row space by
@@ -43,7 +43,7 @@ from .linalg import (
     rank,
     spectral_radius,
 )
-from .lp import UNBOUNDED, Band, SimplexBudgetError
+from .lp import UNBOUNDED, Band, SimplexBudgetError, equilibrate
 
 __all__ = [
     "DETERMINED",
@@ -302,12 +302,13 @@ def sensitivity_rows(sys: SystemSpec, a_tilde, horizon: int) -> np.ndarray:
     at = as_matrix(a_tilde, "a_tilde")
     if int(horizon) < 0:
         raise ValueError("horizon must be nonnegative")
-    blocks = [sys.c]
+    p = sys.p
+    out = np.empty(((int(horizon) + 1) * p, sys.n))
+    out[:p] = sys.c
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(int(horizon)):
-            blocks.append(blocks[-1] @ at)
-    out = np.vstack(blocks)
-    _require_finite([out], sys.p, "output rows")
+        for i in range(p, out.shape[0], p):
+            np.matmul(out[i - p : i], at, out=out[i : i + p])
+    _require_finite([out], p, "output rows")
     out.setflags(write=False)
     return out
 
@@ -316,10 +317,11 @@ def _require_finite(tables: list, rows_per_step: int, what: str) -> None:
     """Raise :class:`OverflowError` naming the first step whose rows of
     ``tables`` (row-aligned, ``rows_per_step`` rows per step) hold an inf
     or NaN."""
+    if all(np.isfinite(t).all() for t in tables):
+        return
     finite = np.all([np.isfinite(t).all(axis=1) for t in tables], axis=0)
-    if not finite.all():
-        step = int(np.argmin(finite)) // rows_per_step
-        raise OverflowError(f"{what} left the floating-point range at step {step}")
+    step = int(np.argmin(finite)) // rows_per_step
+    raise OverflowError(f"{what} left the floating-point range at step {step}")
 
 
 def _advance(block: np.ndarray, a_tilde: np.ndarray, step: int) -> np.ndarray:
@@ -343,28 +345,29 @@ def _check_stop_tol(stop_tol: float) -> None:
         raise ValueError("stop_tol must be a nonnegative finite number")
 
 
-def _step(
-    band: Band, joining: np.ndarray, objective_block: np.ndarray, stop_tol: float, step: int
-) -> IterationRecord:
-    """One convergence test, once ``joining`` has joined ``band``: the LP
-    maxima of every signed row of ``objective_block`` over the band
+def _step(band: Band, joining: tuple, block: tuple, stop_tol: float, step: int) -> IterationRecord:
+    """One convergence test, once the rows of ``joining`` have joined
+    ``band``: the LP maxima of every signed row of ``block`` over the band
     (unbounded programs yield inf), stopped when all are within
-    ``epsilon + stop_tol``.  The band is centrally symmetric, so each row is
-    maximized once and its negation recorded with the same maximum.  A row
-    clearly outside the band's row space (see :meth:`Band.unbounded`) is
-    recorded as inf without a simplex.  A joining row too small to scale
-    against epsilon stops the step at constraint 1, before any row."""
+    ``epsilon + stop_tol``.  Each block is ``(rows, equilibrate(rows))``,
+    scaled once for its test, its LPs and its join.  The band is centrally
+    symmetric, so each row is maximized once and its negation recorded with
+    the same maximum.  A row clearly outside the band's row space (see
+    :meth:`Band.unbounded`) is recorded as inf without a simplex.  A joining
+    row too small to scale against epsilon stops the step at constraint 1,
+    before any row."""
     try:
-        band.extend(joining)
+        band.extend(*joining)
     except OverflowError as err:
         raise DeterminationError(f"LP solver gave up: {err}", step=step, constraint=1) from err
+    rows, (scaled, _) = block
     values = []
-    for j, (row, outside) in enumerate(zip(objective_block, band.unbounded(objective_block))):
+    for j, (row, outside) in enumerate(zip(rows, band.unbounded(rows, scaled))):
         if outside:
             values += [np.inf, np.inf]
             continue
         try:
-            outcome = band.maximize(row)
+            outcome = band.maximize(row, scaled[j])
         except (SimplexBudgetError, OverflowError) as err:
             message = f"LP solver gave up: {err}"
             raise DeterminationError(message, step=step, constraint=2 * j + 1) from err
@@ -390,29 +393,29 @@ def determine(
     truncation has converged: k is the determination index and the stacked
     rows describe the capacity set exactly.  An unbounded subproblem or a
     larger maximum advances k.  One :class:`~gaincap.lp.Band` carries the
-    stack through the search: each block joins it once, equilibrated, and
-    grows its row space.  Until that space has rank n, a row clearly outside
-    it is recorded as unbounded without a simplex; a fuller stack never has
-    lower rank, so from full rank on every row is solved.  After
-    ``max_iter`` steps the search stops with status ``"iteration_limit"``
-    and the accumulated rows describe an outer truncation only.
+    stack through the search: each block is scaled once, for its LPs and
+    its join, and grows the row space.  Until that space has rank n, a row
+    clearly outside it is recorded as unbounded without a simplex; a fuller
+    stack never has lower rank, so from full rank on every row is solved.
+    After ``max_iter`` steps the status is ``"iteration_limit"`` and the
+    accumulated rows describe an outer truncation only.
     """
     at = _resolve_a_tilde(sys, gain, a_tilde)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     _check_stop_tol(stop_tol)
     band = Band(sys.c[:0], sys.epsilon)  # block k joins at step k, once advanced
-    blocks = [sys.c]
+    blocks = [(sys.c, equilibrate(sys.c))]
     history: list[IterationRecord] = []
     for k in range(int(max_iter)):
-        objective = _advance(blocks[-1], at, k)
-        history.append(_step(band, blocks[-1], objective, stop_tol, k))
+        objective = _advance(blocks[-1][0], at, k)
+        blocks.append((objective, equilibrate(objective)))
+        history.append(_step(band, *blocks[-2:], stop_tol, k))
         if history[-1].stopped:
             break
-        blocks.append(objective)
-    # on the limit the last block never joined: the rows hold steps 0..max_iter-1
+    # the last block never joined: the rows hold steps 0..k, or 0..max_iter-1
     stopped = history[-1].stopped
-    rows = np.vstack(blocks[: len(history)])
+    rows = np.vstack([block for block, _ in blocks[: len(history)]])
     rows.setflags(write=False)
     return CapacitySet(
         a_tilde=at,
@@ -440,27 +443,30 @@ def stop_test(
         raise ValueError("objective_step must be nonnegative")
     _check_stop_tol(stop_tol)
     # a caller-built set enters here; the band checks epsilon
-    as_matrix(cap.constraint_rows, "constraint rows")
-    block = cap.constraint_rows[: cap.output_dim]
+    rows = as_matrix(cap.constraint_rows, "constraint rows")
+    block = rows[: cap.output_dim]
     for _ in range(int(objective_step)):
         block = _advance(block, cap.a_tilde, objective_step)
-    band = Band(cap.constraint_rows[:0], cap.epsilon)
-    record = _step(band, cap.constraint_rows, block, stop_tol, objective_step)
+    band, joining = Band(rows[:0], cap.epsilon), (rows, equilibrate(rows))
+    record = _step(band, joining, (block, equilibrate(block)), stop_tol, objective_step)
     return record.stopped, record.values
 
 
-def _first_violation(cap: CapacitySet, products: np.ndarray) -> Violation | None:
-    """Earliest band constraint broken by one state's row products."""
-    broken = np.flatnonzero(np.abs(products) > cap.epsilon + MEMBERSHIP_TOL)
-    if broken.size == 0:
-        return None
-    value = products[broken[0]]
-    step, j = divmod(int(broken[0]), cap.output_dim)
-    return Violation(
-        step=step,
-        constraint=2 * j + 1 if value > 0 else 2 * j + 2,
-        magnitude=float(abs(value)),
-    )
+def _first_violations(cap: CapacitySet, products: np.ndarray) -> list[Violation | None]:
+    """Earliest band constraint broken by each column of ``products``, one
+    state's row products each, in one pass over all of them."""
+    broken = np.abs(products) > cap.epsilon + MEMBERSHIP_TOL
+    first = broken.argmax(axis=0)
+    violations = [None] * products.shape[1]
+    for col in np.flatnonzero(broken.any(axis=0)).tolist():
+        value = products[first[col], col]
+        step, j = divmod(int(first[col]), cap.output_dim)
+        violations[col] = Violation(
+            step=step,
+            constraint=2 * j + 1 if value > 0 else 2 * j + 2,
+            magnitude=float(abs(value)),
+        )
+    return violations
 
 
 def membership(cap: CapacitySet, x) -> MembershipResult:
@@ -475,7 +481,7 @@ def membership(cap: CapacitySet, x) -> MembershipResult:
         raise ValueError(
             f"x has length {x.shape[0]}, expected {cap.constraint_rows.shape[1]}"
         )
-    violation = _first_violation(cap, cap.constraint_rows @ x)
+    (violation,) = _first_violations(cap, (cap.constraint_rows @ x)[:, None])
     return MembershipResult(
         member=violation is None,
         certified=cap.status == DETERMINED,
@@ -501,7 +507,7 @@ def check_gain(
     cap = determine(sys, gain, a_tilde=a_tilde, max_iter=max_iter, stop_tol=stop_tol)
     # rows @ [tau0 | I], whose identity block is the rows themselves
     products = np.column_stack([cap.constraint_rows @ sys.tau0, cap.constraint_rows])
-    alpha_violation, *violations = (_first_violation(cap, col) for col in products.T)
+    alpha_violation, *violations = _first_violations(cap, products)
     beta_violations = tuple(
         BetaViolation(index=j, first_violation_step=v.step, magnitude=v.magnitude)
         for j, v in enumerate(violations, start=1)

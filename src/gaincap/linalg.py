@@ -24,7 +24,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     m = np.array(values, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"{name} must be a nonempty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     m.setflags(write=False)
     return m
@@ -35,7 +35,7 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     v = np.array(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     v.setflags(write=False)
     return v
@@ -52,7 +52,8 @@ def rank(m, tol: float = 1e-9) -> int:
     m = as_matrix(m, "matrix")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return int(np.linalg.matrix_rank(m, tol=tol * np.max(np.abs(m))))
+    singular = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(singular > tol * np.abs(m).max()))
 
 
 def controllability_matrix(a, b) -> np.ndarray:

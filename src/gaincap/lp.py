@@ -5,12 +5,13 @@ over a band ``|s x| <= epsilon``, x sign-free, stated as
 ``[s; -s] x <= epsilon``.  As epsilon >= 0 the origin is feasible, so the
 all-slack basis at the origin is the start vertex and no phase 1 is needed.
 A :class:`Band` holds the band of a stack that grows by one block of rows
-per step.  Each row is equilibrated (scaled by its largest absolute entry)
-once, when it joins; that is exactly invertible, leaves the feasible set
-untouched, and keeps the tableau well-conditioned when rows span many
-orders of magnitude.  The LPs over one stack copy one shared tableau body,
-and the band grows an orthonormal basis of its row space, which answers a
-row clearly outside it as unbounded without a simplex.
+per step.  Each block is equilibrated (each row scaled by its largest
+absolute entry) once, by :func:`equilibrate`, for the LPs it is the
+objective of and then for its join; that is exactly invertible, leaves the
+feasible set untouched, and keeps the tableau well-conditioned when rows
+span many orders of magnitude.  The LPs over one stack copy one shared
+tableau body, and the band grows an orthonormal basis of its row space,
+which answers a row clearly outside it as unbounded without a simplex.
 
 All simplex state lives in one compact tableau that keeps only the
 nonbasic columns: each free variable is split into two nonnegative ones
@@ -36,8 +37,8 @@ pivot budget the entering scan switches to Bland's rule (the improving
 column with the smallest label), which with that leaving rule never cycles.
 A hard budget of ``50 * (variables + constraints)`` pivots guards against
 numerical stalls and raises :class:`SimplexBudgetError` when exceeded.  The
-objective is scaled by its largest entry too; the reported value is
-recomputed from the caller's own data.
+simplex prices the equilibrated objective row, scaled once with its block;
+the reported value is recomputed from the caller's own row.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OPTIMAL", "UNBOUNDED", "Band", "LpOutcome", "SimplexBudgetError", "maximize"]
+__all__ = ["OPTIMAL", "UNBOUNDED", "Band", "LpOutcome", "SimplexBudgetError", "equilibrate",
+           "maximize"]
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -95,27 +97,28 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab -= np.multiply.outer(factors, tab[row])
 
 
-def _scale(rows: np.ndarray) -> np.ndarray:
-    """The largest absolute entry of each row, by which equilibration
-    divides it; 1 for a zero row, which stays zero."""
+def equilibrate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` with each row divided by its largest absolute entry, and
+    those entries; a zero row has scale 1 and stays zero."""
     scale = np.abs(rows).max(axis=1)
     scale[scale == 0.0] = 1.0
-    return scale
+    return rows / scale[:, None], scale
 
 
 class Band:
     """The band ``|s x| <= epsilon`` of a stack of rows ``s`` that grows by
     :meth:`extend`, with what every LP over it shares.
 
-    Each row is equilibrated once, when it joins, and its bound scaled with
-    it to ``epsilon / scale``.  Raises :class:`ValueError` when epsilon is
-    negative or not finite.
+    Each row joins equilibrated (see :func:`equilibrate`), with its bound
+    scaled to ``epsilon / scale``; ``s`` is taken as float64.  Raises
+    :class:`ValueError` when epsilon is negative or not finite.
     """
 
     def __init__(self, s: np.ndarray, epsilon: float):
         self.epsilon = float(epsilon)
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and nonnegative: the origin is the start vertex")
+        s = np.asarray(s, dtype=float)
         n = s.shape[1]
         self.size = self.rank = self._spanned = 0  # _spanned rows have entered the basis
         self._upper = np.empty((0, 2 * n + 1))  # [rows | -rows | bounds], doubled when full
@@ -124,11 +127,12 @@ class Band:
         if len(s):  # determine starts empty, and its rows join step by step
             self.extend(s)
 
-    def extend(self, rows: np.ndarray) -> None:
-        """Let ``rows`` join the band.  Raises :class:`OverflowError`, before
-        any row joins, when epsilon over the largest entry of a row has no
-        float value, as the scaled tableau would then hold inf."""
-        scale = _scale(rows)
+    def extend(self, rows: np.ndarray, equilibrated=None) -> None:
+        """Let ``rows`` join the band, as ``equilibrated`` (by default
+        ``equilibrate(rows)``).  Raises :class:`OverflowError`, before any
+        row joins, when epsilon over the largest entry of a row has no float
+        value, as the scaled tableau would then hold inf."""
+        scaled, scale = equilibrate(rows) if equilibrated is None else equilibrated
         # the largest scaled bound comes from the smallest row scale; a
         # division of Python floats overflows to inf without a numpy warning
         if self.epsilon / float(scale.min(initial=np.inf)) == np.inf:
@@ -139,16 +143,17 @@ class Band:
             grown[: self.size] = self._upper[: self.size]
             self._upper = grown
         joining = self._upper[self.size : size]
-        joining[:, :n] = rows / scale[:, None]
+        joining[:, :n] = scaled
         np.negative(joining[:, :n], out=joining[:, n:-1])
         joining[:, -1] = self.epsilon / scale
         self.size, self._body = size, None
 
-    def unbounded(self, rows: np.ndarray) -> list[bool]:
+    def unbounded(self, rows: np.ndarray, scaled=None) -> list[bool]:
         """Whether each of ``rows`` lies clearly outside the row space of the
         band's equilibrated rows, which makes its LP unbounded: whether the
         part of the equilibrated row outside that space has an entry above
         ``UNBOUNDED_RESIDUAL``.  Smaller parts are left to the simplex.
+        ``scaled`` is ``equilibrate(rows)[0]`` when the caller has it.
 
         Rows that joined since the last call first enter the basis by
         Gram-Schmidt applied twice.  Row ``r`` adds a direction when its
@@ -169,19 +174,21 @@ class Band:
                     break
         if self.rank == n:
             return [False] * rows.shape[0]
-        rows, basis = rows / _scale(rows)[:, None], self._basis[: self.rank]
+        rows = equilibrate(rows)[0] if scaled is None else scaled
+        basis = self._basis[: self.rank]
         return (np.abs(rows - (rows @ basis.T) @ basis).max(axis=1) > UNBOUNDED_RESIDUAL).tolist()
 
-    def maximize(self, objective: np.ndarray) -> LpOutcome:
+    def maximize(self, objective: np.ndarray, scaled=None) -> LpOutcome:
         """Maximize ``objective . x`` over the band, x sign-free: an
         :class:`LpOutcome` with status ``optimal`` (point and value set) or
-        ``unbounded``.  Raises :class:`OverflowError` when the maximum has
-        no float value."""
+        ``unbounded``; ``scaled`` is ``objective`` over its largest absolute
+        entry when the caller has it.  Raises :class:`OverflowError` when
+        the maximum has no float value."""
         if self._body is None:  # [G | -G | h], shared until the next extend
             upper = self._upper[: self.size]
             self._body = np.concatenate([upper, -upper])
             self._body[self.size :, -1] *= -1.0  # -rows keep their bounds
-        return _solve(self._body, objective)
+        return _solve(self._body, objective, scaled)
 
 
 def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
@@ -194,17 +201,18 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
     float arrays.  ``iteration_budget`` overrides the default pivot budget
     of ``50 * (variables + constraints)``.  Raises :class:`OverflowError`
     when the maximum has no float value."""
-    row_scale = _scale(g)
-    g = g / row_scale[:, None]
-    return _solve(np.hstack([g, -g, (h / row_scale)[:, None]]), c, iteration_budget)
+    g, row_scale = equilibrate(g)
+    return _solve(np.hstack([g, -g, (h / row_scale)[:, None]]), c, None, iteration_budget)
 
 
-def _solve(body: np.ndarray, c: np.ndarray, iteration_budget=None) -> LpOutcome:
+def _solve(body: np.ndarray, c: np.ndarray, c_s=None, iteration_budget=None) -> LpOutcome:
     """The simplex from the origin over the equilibrated tableau body
-    ``[G | -G | h]``, which it leaves untouched."""
+    ``[G | -G | h]``, which it leaves untouched, priced by ``c_s`` (by
+    default ``c`` over its largest absolute entry), valued by ``c``."""
     n, r = c.shape[0], body.shape[0]
     budget = 50 * (n + r) if iteration_budget is None else int(iteration_budget)
-    c_s = c / (float(np.max(np.abs(c))) or 1.0)
+    if c_s is None:
+        c_s = c / (float(np.max(np.abs(c))) or 1.0)
 
     # split free variables; the slacks start basic at the origin, where the
     # reduced costs are the scaled objective itself

@@ -94,6 +94,29 @@ def test_summary_predicts_the_rss_change_more_verdicts_make():
     assert rss["fit_predicted_change_pct"] is None
 
 
+def test_summary_gives_the_speed_up_the_rss_bound_leaves_room_for():
+    # the parent holds 40 MB + 2 KB per verdict, with a median of 1150
+    # verdicts and 42.25 MB; 10% above that median is reached at 3,313
+    # verdicts, 2.88 times the parent's median count
+    runs = []
+    for pair, verdicts in enumerate([1000, 1100, 1200, 1300]):
+        rss = 40.0 + verdicts * 2 / 1024
+        runs += [run("parent", pair, pair, 1.0, 1.0, verdicts, rss=rss),
+                 run("change", pair, pair, 1.0, 1.0, 2 * verdicts, rss=rss)]
+    metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    rss = bench_pairs.summarize_group(runs, metrics)["peak_rss_mb"]
+    parent_median = 40.0 + 1150 * 2 / 1024
+    assert rss["rss_ceiling"] == pytest.approx((parent_median * 1.1 - 40.0) * 512 / 1150)
+    assert rss["rss_ceiling"] == pytest.approx(2.881, abs=1e-3)
+    assert list(rss)[3:5] == ["fit_predicted_change_pct", "rss_ceiling"]
+    # no bound, or memory that shrinks as the verdicts grow: no ceiling
+    assert bench_pairs.summarize_group(runs, [{"name": "peak_rss_mb", "better": "lower"}])[
+        "peak_rss_mb"]["rss_ceiling"] is None
+    shrinking = [run(r["side"], r["pair"], r["seed"], 1.0, 1.0, 1000 + 100 * r["pair"],
+                     rss=42.0 - r["pair"]) for r in runs]
+    assert bench_pairs.summarize_group(shrinking, metrics)["peak_rss_mb"]["rss_ceiling"] is None
+
+
 def test_seed_range():
     assert bench_pairs.seed_range("1301-1303") == [1301, 1302, 1303]
     assert bench_pairs.seed_range("7") == [7]

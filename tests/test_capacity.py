@@ -11,6 +11,7 @@ import gaincap.capacity
 import gaincap.lp
 from gaincap.capacity import (
     DETERMINED,
+    BetaViolation,
     ITERATION_LIMIT,
     DeterminationError,
     Gain,
@@ -24,6 +25,7 @@ from gaincap.capacity import (
     sensitivity_rows,
     simulate,
     stop_test,
+    Violation,
 )
 from gaincap.cli import load_problem
 
@@ -226,6 +228,13 @@ def test_analyze_and_simulate_overflow_name_the_step():
         analyze(sys_, a_tilde=a_tilde)
     with pytest.raises(OverflowError, match="trajectory left the floating-point range at step 2"):
         simulate(sys_, a_tilde=a_tilde, alpha=1.0, beta=[0.0, 0.0], steps=3)
+    # only the last of the 9 blocks overflows: 1e40**8, and the state 0.1e320
+    late = np.diag([1e40, 0.5])
+    with pytest.raises(OverflowError, match="output rows left the floating-point range at step 8"):
+        analyze(sys_, a_tilde=late)
+    with pytest.raises(OverflowError, match="trajectory left the floating-point range at step 8"):
+        simulate(sys_, a_tilde=late, alpha=1.0, beta=[0.0, 0.0], steps=8)
+    assert np.isfinite(sensitivity_rows(sys_, late, 7)).all()
     assert np.isfinite(simulate(sys_, a_tilde=a_tilde, alpha=1.0, beta=[0.0, 0.0], steps=1).states).all()
     # a finite state whose output overflows, and a start that overflows at once
     wide = SystemSpec(a=np.eye(2), b=None, c=[[1.0, 1.0]], tau0=[1.0, 1.0], epsilon=1.0)
@@ -383,6 +392,53 @@ def test_check_gain_matches_membership():
         got = [(bv.index, bv.first_violation_step, bv.magnitude) for bv in report.beta_violations]
         expected = [(j, v.step, v.magnitude) for j, v in enumerate(betas, 1) if v is not None]
         assert got == expected
+
+
+def first_violation_by_scan(cap, x):
+    """The first entry of ``rows @ x`` beyond the band, scanned in order."""
+    for i, value in enumerate(cap.constraint_rows @ x):
+        if abs(value) > cap.epsilon + gaincap.capacity.MEMBERSHIP_TOL:
+            step, j = divmod(i, cap.output_dim)
+            return Violation(step, 2 * j + 1 if value > 0 else 2 * j + 2, float(abs(value)))
+    return None
+
+
+def test_check_gain_first_violations_match_membership():
+    # check_gain finds the first violation of tau0 and of every e_j in one
+    # pass; each is membership's, and a scan's, for that state: on
+    # determined and iteration-limited sets, with a zero output row, with
+    # first violations on negative products, and with products planted
+    # exactly at epsilon + MEMBERSHIP_TOL, which stay inside
+    rng = np.random.default_rng(41)
+    seen = set()
+    for trial in range(50):
+        n, p = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        a_tilde = rng.standard_normal((n, n))
+        a_tilde *= rng.uniform(0.5, 0.95) / np.abs(np.linalg.eigvals(a_tilde)).max()
+        c, tau0 = rng.standard_normal((p, n)), rng.standard_normal(n)
+        epsilon = float(rng.uniform(0.5, 1.5))
+        if trial % 3 == 1:
+            c[-1] = 0.0
+        elif trial % 3 == 2:
+            # row 0 at step 0 maps tau0 and e_2 to exactly epsilon + tol
+            c[0] = 0.0
+            c[0, 0], c[0, 1] = 1.0, epsilon + gaincap.capacity.MEMBERSHIP_TOL
+            tau0[:2] = c[0, 1], 0.0
+        sys_ = SystemSpec(a_tilde, None, c, tau0, epsilon)
+        report = check_gain(sys_, a_tilde=a_tilde, max_iter=int(rng.choice([1, 2, 3, 200])))
+        cap = report.capacity
+        found = [membership(cap, x).violation for x in [tau0, *np.eye(n)]]
+        assert found == [first_violation_by_scan(cap, x) for x in [tau0, *np.eye(n)]]
+        assert report.alpha_violation == found[0]
+        assert report.beta_violations == tuple(
+            BetaViolation(j, v.step, v.magnitude) for j, v in enumerate(found[1:], 1) if v
+        )
+        if trial % 3 == 2:
+            assert cap.constraint_rows[0] @ tau0 == cap.constraint_rows[0, 1] == c[0, 1]
+            assert all(v is None or (v.step, v.constraint) != (0, 1) for v in found[:3:2])
+        seen.add(cap.status)
+        seen.update("negative" for v in found if v and v.constraint % 2 == 0)
+    assert seen == {DETERMINED, ITERATION_LIMIT, "negative"}
 
 
 def test_check_gain_nominal_state_outside():
@@ -712,10 +768,10 @@ def test_one_lp_per_output_row(name, monkeypatch):
     original = gaincap.lp.Band.maximize
     calls = {}
 
-    def counting_maximize(band, objective):
+    def counting_maximize(band, objective, scaled=None):
         # the band's height names the step
         calls.setdefault(band.size, []).append(objective.tobytes())
-        return original(band, objective)
+        return original(band, objective, scaled)
 
     monkeypatch.setattr(gaincap.lp.Band, "maximize", counting_maximize)
     loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {}
@@ -798,7 +854,8 @@ def test_rank_test_matches_the_primal():
 
 def test_determination_calls_no_linalg_routine(monkeypatch):
     # the band grows its row space by Gram-Schmidt: no SVD, QR or rank
-    # routine runs in determine or stop_test, below full rank or at it
+    # routine runs in determine, stop_test or check_gain, below full rank
+    # or at it
     systems = list(rank_test_loops(31, 8))
 
     def refuse(*args, **kwargs):
@@ -810,6 +867,7 @@ def test_determination_calls_no_linalg_routine(monkeypatch):
     for sys_ in systems:
         cap = determine(sys_, a_tilde=sys_.a, max_iter=30)
         stop_test(cap, len(cap.history))
+        check_gain(sys_, a_tilde=sys_.a, max_iter=30)
 
 
 def test_ratio_past_the_float_range_never_blocks():
@@ -836,8 +894,8 @@ def test_determine_pivot_count_tripwire(monkeypatch):
     original = gaincap.lp.Band.maximize
     pivots = []
 
-    def counting_maximize(band, objective):
-        outcome = original(band, objective)
+    def counting_maximize(band, objective, scaled=None):
+        outcome = original(band, objective, scaled)
         pivots.append(outcome.pivots)
         return outcome
 
@@ -891,6 +949,18 @@ def test_stop_test_rejects_negative_band():
             for objective_step in (0, 2):
                 with pytest.raises(ValueError, match="constraint rows"):
                     stop_test(dataclasses.replace(cap, constraint_rows=rows), objective_step)
+
+
+def test_stop_test_takes_integer_and_nested_list_rows():
+    # a caller-built set whose rows are an integer array or a nested list
+    # stops as the same rows as floats do
+    cap = determine(two_state(), a_tilde=[[0.5, 0.0], [-1.0, -0.4]], max_iter=2)
+    rows = [[1, 1], [1, 0], [2, -1]]
+    float_cap = dataclasses.replace(cap, constraint_rows=np.array(rows, dtype=float))
+    for caller_rows in (np.array(rows), rows):
+        other = dataclasses.replace(cap, constraint_rows=caller_rows)
+        for objective_step in (0, 1, 3):
+            assert stop_test(other, objective_step) == stop_test(float_cap, objective_step)
 
 
 def test_subnormal_band_row_stops_determination():

@@ -8,6 +8,7 @@ from gaincap.lp import (
     LpOutcome,
     SimplexBudgetError,
     _simplex,
+    equilibrate,
     maximize,
 )
 from oracles import exact_maximize, polygon_maximize
@@ -44,6 +45,52 @@ def test_maximize_solves_the_stacked_band():
         )
         if band.status == OPTIMAL:
             assert band.point.tobytes() == general.point.tobytes()
+
+
+def test_maximize_takes_integer_and_nested_list_rows():
+    # the band takes its rows as float64 once, so an integer array and a
+    # nested list give the float array's outcome
+    for rows in ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0], [1.0, -3.0]]):
+        expected = maximize(np.ones(2), np.array(rows), 1.0)
+        for s in (np.array(rows, dtype=int), rows):
+            out = maximize(np.ones(2), s, 1.0)
+            assert (out.status, out.value, out.pivots) == (OPTIMAL, expected.value,
+                                                           expected.pivots)
+            assert out.point.tobytes() == expected.point.tobytes()
+
+
+def test_one_scaling_of_the_objective_changes_no_bit():
+    # the band's LPs take each objective row scaled once, with its block;
+    # value, point and pivots are those of the general simplex, which scales
+    # its own objective, on bands with a row of scale 1e-300 and a zero row
+    # and on objectives of mixed sign and magnitude
+    rng = np.random.default_rng(37)
+    for trial in range(120):
+        n = int(rng.integers(2, 6))
+        s = rng.standard_normal((int(rng.integers(1, 3 * n)), n))
+        if trial % 3 == 1:
+            s[int(rng.integers(s.shape[0]))] *= 1e-300
+        elif trial % 3 == 2:
+            s[int(rng.integers(s.shape[0]))] = 0.0
+        epsilon = float(rng.uniform(0.1, 2.0))
+        objectives = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-150, 150, size=(3, n))
+        objectives[0] = 0.0
+        band = Band(s, epsilon)
+        for c, scaled in zip(objectives, equilibrate(objectives)[0]):
+            outcomes = []
+            for solve in (
+                lambda: band.maximize(c),
+                lambda: band.maximize(c, scaled),
+                lambda: _simplex(c, np.vstack([s, -s]), np.full(2 * s.shape[0], epsilon)),
+            ):
+                try:
+                    out = solve()
+                except OverflowError as err:
+                    outcomes.append(str(err))
+                else:
+                    point = None if out.point is None else out.point.tobytes()
+                    outcomes.append((out.status, out.value, point, out.pivots))
+            assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_maximize_refuses_unscalable_band_row():

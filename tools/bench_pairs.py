@@ -26,7 +26,11 @@ intercept, KB per verdict), the failures summed per side, and the seeds.
 The fit tells memory the benchmark keeps per verdict apart from gaincap's:
 next to peak_rss_mb's median change, ``fit_predicted_change_pct`` is the
 change the parent's fit predicts at the change side's median verdict count,
-the part of the change that more verdicts alone would make.
+the part of the change that more verdicts alone would make, and
+``rss_ceiling`` is the verdict throughput, as a multiple of the parent's
+median verdict count, at which that fit reaches the parent's median
+peak_rss_mb times 1 + its BENCHMARK.json bound: the speed-up the kept
+digests leave room for.
 """
 
 from __future__ import annotations
@@ -110,6 +114,8 @@ def summarize_group(runs: list[dict], metrics: list[dict]) -> dict:
         if name == "peak_rss_mb":
             summary[name]["fit_predicted_change_pct"] = predicted_rss_change(
                 fits["parent"], verdicts["change"], p_q[1])
+            summary[name]["rss_ceiling"] = rss_ceiling(
+                fits["parent"], verdicts["parent"], p_q[1], metric.get("bound"))
         summary[name].update({
             "parent_iqr": float(p_q[2] - p_q[0]),
             "change_better_pairs": f"{int(won.sum())}/{len(complete)}",
@@ -131,6 +137,17 @@ def predicted_rss_change(fit: dict | None, verdicts: list, parent_median: float)
         return None
     predicted = fit["mb_intercept"] + fit["kb_per_verdict"] / 1024.0 * float(np.median(counts))
     return float((predicted / parent_median - 1.0) * 100.0)
+
+
+def rss_ceiling(fit: dict | None, verdicts: list, parent_median: float, bound) -> float | None:
+    """The verdict count, as a multiple of the median of ``verdicts``, at
+    which ``fit`` reaches ``parent_median * (1 + bound)``, or None without a
+    fit, a verdict count, a bound or memory that grows with the verdicts."""
+    counts = [v for v in verdicts if v is not None]
+    if fit is None or not counts or bound is None or fit["kb_per_verdict"] <= 0:
+        return None
+    limit = (parent_median * (1.0 + bound) - fit["mb_intercept"]) * 1024.0 / fit["kb_per_verdict"]
+    return float(limit / np.median(counts))
 
 
 def rss_fit(runs: list[dict]) -> dict | None:
