@@ -11,11 +11,12 @@ import gaincap.capacity
 import gaincap.lp
 from gaincap.capacity import (
     DETERMINED,
-    BetaViolation,
     ITERATION_LIMIT,
+    BetaViolation,
     DeterminationError,
     Gain,
     SystemSpec,
+    Violation,
     analyze,
     check_gain,
     closed_loop,
@@ -25,7 +26,6 @@ from gaincap.capacity import (
     sensitivity_rows,
     simulate,
     stop_test,
-    Violation,
 )
 from gaincap.cli import load_problem
 
@@ -228,6 +228,7 @@ def test_analyze_and_simulate_overflow_name_the_step():
         analyze(sys_, a_tilde=a_tilde)
     with pytest.raises(OverflowError, match="trajectory left the floating-point range at step 2"):
         simulate(sys_, a_tilde=a_tilde, alpha=1.0, beta=[0.0, 0.0], steps=3)
+    assert np.isfinite(simulate(sys_, a_tilde=a_tilde, alpha=1.0, beta=[0.0, 0.0], steps=1).states).all()
     # only the last of the 9 blocks overflows: 1e40**8, and the state 0.1e320
     late = np.diag([1e40, 0.5])
     with pytest.raises(OverflowError, match="output rows left the floating-point range at step 8"):
@@ -235,7 +236,6 @@ def test_analyze_and_simulate_overflow_name_the_step():
     with pytest.raises(OverflowError, match="trajectory left the floating-point range at step 8"):
         simulate(sys_, a_tilde=late, alpha=1.0, beta=[0.0, 0.0], steps=8)
     assert np.isfinite(sensitivity_rows(sys_, late, 7)).all()
-    assert np.isfinite(simulate(sys_, a_tilde=a_tilde, alpha=1.0, beta=[0.0, 0.0], steps=1).states).all()
     # a finite state whose output overflows, and a start that overflows at once
     wide = SystemSpec(a=np.eye(2), b=None, c=[[1.0, 1.0]], tau0=[1.0, 1.0], epsilon=1.0)
     with pytest.raises(OverflowError, match="at step 1"):
