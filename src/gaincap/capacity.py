@@ -345,24 +345,25 @@ def _check_stop_tol(stop_tol: float) -> None:
         raise ValueError("stop_tol must be a nonnegative finite number")
 
 
-def _step(band: Band, joining: tuple, block: tuple, stop_tol: float, step: int) -> IterationRecord:
-    """One convergence test, once the rows of ``joining`` have joined
-    ``band``: the LP maxima of every signed row of ``block`` over the band
+def _step(
+    band: Band, joining: np.ndarray, joining_scale: np.ndarray, rows: np.ndarray,
+    scaled: np.ndarray, stop_tol: float, step: int,
+) -> IterationRecord:
+    """One convergence test, once the equilibrated rows ``joining`` (of
+    scale ``joining_scale``) have joined ``band``: the LP maxima of every
+    signed row of ``rows``, equilibrated as ``scaled``, over the band
     (unbounded programs yield inf), stopped when all are within
-    ``epsilon + stop_tol``.  Each block is ``(rows, equilibrate(rows))``,
-    scaled once for its test, its LPs and its join.  The band is centrally
-    symmetric, so each row is maximized once and its negation recorded with
-    the same maximum.  A row clearly outside the band's row space (see
-    :meth:`Band.unbounded`) is recorded as inf without a simplex.  A joining
-    row too small to scale against epsilon stops the step at constraint 1,
-    before any row."""
+    ``epsilon + stop_tol``.  The band is centrally symmetric, so each row is
+    maximized once and its negation recorded with the same maximum.  A row
+    clearly outside the band's row space (see :meth:`Band.unbounded`) is
+    recorded as inf without a simplex.  A joining row too small to scale
+    against epsilon stops the step at constraint 1, before any row."""
     try:
-        band.extend(*joining)
+        band.extend(joining, joining_scale)
     except OverflowError as err:
         raise DeterminationError(f"LP solver gave up: {err}", step=step, constraint=1) from err
-    rows, (scaled, _) = block
     values = []
-    for j, (row, outside) in enumerate(zip(rows, band.unbounded(rows, scaled))):
+    for j, (row, outside) in enumerate(zip(rows, band.unbounded(scaled))):
         if outside:
             values += [np.inf, np.inf]
             continue
@@ -405,17 +406,19 @@ def determine(
         raise ValueError("max_iter must be at least 1")
     _check_stop_tol(stop_tol)
     band = Band(sys.c[:0], sys.epsilon)  # block k joins at step k, once advanced
-    blocks = [(sys.c, equilibrate(sys.c))]
+    blocks, joining = [sys.c], equilibrate(sys.c)
     history: list[IterationRecord] = []
     for k in range(int(max_iter)):
-        objective = _advance(blocks[-1][0], at, k)
-        blocks.append((objective, equilibrate(objective)))
-        history.append(_step(band, *blocks[-2:], stop_tol, k))
+        objective = _advance(blocks[-1], at, k)
+        scaled, scale = equilibrate(objective)  # for this step's LPs, then the next join
+        history.append(_step(band, *joining, objective, scaled, stop_tol, k))
         if history[-1].stopped:
             break
-    # the last block never joined: the rows hold steps 0..k, or 0..max_iter-1
+        blocks.append(objective)
+        joining = scaled, scale
+    # on the limit the last block never joined: the rows hold steps 0..max_iter-1
     stopped = history[-1].stopped
-    rows = np.vstack([block for block, _ in blocks[: len(history)]])
+    rows = np.vstack(blocks[: len(history)])
     rows.setflags(write=False)
     return CapacitySet(
         a_tilde=at,
@@ -447,8 +450,8 @@ def stop_test(
     block = rows[: cap.output_dim]
     for _ in range(int(objective_step)):
         block = _advance(block, cap.a_tilde, objective_step)
-    band, joining = Band(rows[:0], cap.epsilon), (rows, equilibrate(rows))
-    record = _step(band, joining, (block, equilibrate(block)), stop_tol, objective_step)
+    band = Band(rows[:0], cap.epsilon)
+    record = _step(band, *equilibrate(rows), block, equilibrate(block)[0], stop_tol, objective_step)
     return record.stopped, record.values
 
 
@@ -456,7 +459,7 @@ def _first_violations(cap: CapacitySet, products: np.ndarray) -> list[Violation 
     """Earliest band constraint broken by each column of ``products``, one
     state's row products each, in one pass over all of them."""
     broken = np.abs(products) > cap.epsilon + MEMBERSHIP_TOL
-    first = broken.argmax(axis=0)
+    first = broken.argmax(axis=0) if len(broken) else None  # no rows break nothing
     violations = [None] * products.shape[1]
     for col in np.flatnonzero(broken.any(axis=0)).tolist():
         value = products[first[col], col]

@@ -125,19 +125,18 @@ class Band:
         self._basis = np.empty((n, n))  # the first `rank` rows span the row space
         self._body = None
         if len(s):  # determine starts empty, and its rows join step by step
-            self.extend(s)
+            self.extend(*equilibrate(s))
 
-    def extend(self, rows: np.ndarray, equilibrated=None) -> None:
-        """Let ``rows`` join the band, as ``equilibrated`` (by default
-        ``equilibrate(rows)``).  Raises :class:`OverflowError`, before any
-        row joins, when epsilon over the largest entry of a row has no float
-        value, as the scaled tableau would then hold inf."""
-        scaled, scale = equilibrate(rows) if equilibrated is None else equilibrated
+    def extend(self, scaled: np.ndarray, scale: np.ndarray) -> None:
+        """Let the rows ``scaled * scale[:, None]`` join the band, given as
+        :func:`equilibrate` returns them.  Raises :class:`OverflowError`,
+        before any row joins, when epsilon over the largest entry of a row
+        has no float value, as the scaled tableau would then hold inf."""
         # the largest scaled bound comes from the smallest row scale; a
         # division of Python floats overflows to inf without a numpy warning
         if self.epsilon / float(scale.min(initial=np.inf)) == np.inf:
             raise OverflowError("epsilon over a band row's scale left the floating-point range")
-        n, size = rows.shape[1], self.size + rows.shape[0]
+        n, size = scaled.shape[1], self.size + scaled.shape[0]
         if size > self._upper.shape[0]:
             grown = np.empty((2 * size, 2 * n + 1))
             grown[: self.size] = self._upper[: self.size]
@@ -148,12 +147,11 @@ class Band:
         joining[:, -1] = self.epsilon / scale
         self.size, self._body = size, None
 
-    def unbounded(self, rows: np.ndarray, scaled=None) -> list[bool]:
-        """Whether each of ``rows`` lies clearly outside the row space of the
-        band's equilibrated rows, which makes its LP unbounded: whether the
-        part of the equilibrated row outside that space has an entry above
-        ``UNBOUNDED_RESIDUAL``.  Smaller parts are left to the simplex.
-        ``scaled`` is ``equilibrate(rows)[0]`` when the caller has it.
+    def unbounded(self, scaled: np.ndarray) -> list[bool]:
+        """Whether each of the equilibrated rows ``scaled`` lies clearly
+        outside the row space of the band's equilibrated rows, which makes
+        its LP unbounded: whether its part outside that space has an entry
+        above ``UNBOUNDED_RESIDUAL``.  Smaller parts are left to the simplex.
 
         Rows that joined since the last call first enter the basis by
         Gram-Schmidt applied twice.  Row ``r`` adds a direction when its
@@ -173,17 +171,16 @@ class Band:
                 if self.rank == n:
                     break
         if self.rank == n:
-            return [False] * rows.shape[0]
-        rows = equilibrate(rows)[0] if scaled is None else scaled
+            return [False] * scaled.shape[0]
         basis = self._basis[: self.rank]
-        return (np.abs(rows - (rows @ basis.T) @ basis).max(axis=1) > UNBOUNDED_RESIDUAL).tolist()
+        return (np.abs(scaled - (scaled @ basis.T) @ basis).max(axis=1) > UNBOUNDED_RESIDUAL).tolist()
 
-    def maximize(self, objective: np.ndarray, scaled=None) -> LpOutcome:
-        """Maximize ``objective . x`` over the band, x sign-free: an
+    def maximize(self, objective: np.ndarray, scaled: np.ndarray) -> LpOutcome:
+        """Maximize ``objective . x`` over the band, x sign-free, priced by
+        ``scaled``, the objective as :func:`equilibrate` scales it: an
         :class:`LpOutcome` with status ``optimal`` (point and value set) or
-        ``unbounded``; ``scaled`` is ``objective`` over its largest absolute
-        entry when the caller has it.  Raises :class:`OverflowError` when
-        the maximum has no float value."""
+        ``unbounded``.  Raises :class:`OverflowError` when the maximum has
+        no float value."""
         if self._body is None:  # [G | -G | h], shared until the next extend
             upper = self._upper[: self.size]
             self._body = np.concatenate([upper, -upper])
@@ -192,8 +189,9 @@ class Band:
 
 
 def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
-    """:meth:`Band.maximize` over the band ``|s x| <= epsilon``."""
-    return Band(s, epsilon).maximize(objective)
+    """:meth:`Band.maximize` over the band ``|s x| <= epsilon``, of float64 inputs."""
+    c = np.asarray(objective, dtype=float)
+    return Band(s, epsilon).maximize(c, equilibrate(c[None])[0][0])
 
 
 def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None) -> LpOutcome:
@@ -202,17 +200,16 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
     of ``50 * (variables + constraints)``.  Raises :class:`OverflowError`
     when the maximum has no float value."""
     g, row_scale = equilibrate(g)
-    return _solve(np.hstack([g, -g, (h / row_scale)[:, None]]), c, None, iteration_budget)
+    body = np.hstack([g, -g, (h / row_scale)[:, None]])
+    return _solve(body, c, equilibrate(c[None])[0][0], iteration_budget)
 
 
-def _solve(body: np.ndarray, c: np.ndarray, c_s=None, iteration_budget=None) -> LpOutcome:
+def _solve(body: np.ndarray, c: np.ndarray, c_s: np.ndarray, iteration_budget=None) -> LpOutcome:
     """The simplex from the origin over the equilibrated tableau body
-    ``[G | -G | h]``, which it leaves untouched, priced by ``c_s`` (by
-    default ``c`` over its largest absolute entry), valued by ``c``."""
+    ``[G | -G | h]``, which it leaves untouched, priced by the equilibrated
+    objective ``c_s`` and valued by ``c``."""
     n, r = c.shape[0], body.shape[0]
     budget = 50 * (n + r) if iteration_budget is None else int(iteration_budget)
-    if c_s is None:
-        c_s = c / (float(np.max(np.abs(c))) or 1.0)
 
     # split free variables; the slacks start basic at the origin, where the
     # reduced costs are the scaled objective itself

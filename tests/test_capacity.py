@@ -15,6 +15,7 @@ from gaincap.capacity import (
     BetaViolation,
     DeterminationError,
     Gain,
+    MembershipResult,
     SystemSpec,
     Violation,
     analyze,
@@ -408,7 +409,8 @@ def test_check_gain_first_violations_match_membership():
     # pass; each is membership's, and a scan's, for that state: on
     # determined and iteration-limited sets, with a zero output row, with
     # first violations on negative products, and with products planted
-    # exactly at epsilon + MEMBERSHIP_TOL, which stay inside
+    # exactly at epsilon + MEMBERSHIP_TOL, which stay inside; a caller-built
+    # set without rows breaks nothing
     rng = np.random.default_rng(41)
     seen = set()
     for trial in range(50):
@@ -439,6 +441,8 @@ def test_check_gain_first_violations_match_membership():
         seen.add(cap.status)
         seen.update("negative" for v in found if v and v.constraint % 2 == 0)
     assert seen == {DETERMINED, ITERATION_LIMIT, "negative"}
+    empty = dataclasses.replace(cap, constraint_rows=np.zeros((0, n)))
+    assert membership(empty, tau0) == MembershipResult(True, cap.status == DETERMINED, None)
 
 
 def test_check_gain_nominal_state_outside():
@@ -768,7 +772,7 @@ def test_one_lp_per_output_row(name, monkeypatch):
     original = gaincap.lp.Band.maximize
     calls = {}
 
-    def counting_maximize(band, objective, scaled=None):
+    def counting_maximize(band, objective, scaled):
         # the band's height names the step
         calls.setdefault(band.size, []).append(objective.tobytes())
         return original(band, objective, scaled)
@@ -894,7 +898,7 @@ def test_determine_pivot_count_tripwire(monkeypatch):
     original = gaincap.lp.Band.maximize
     pivots = []
 
-    def counting_maximize(band, objective, scaled=None):
+    def counting_maximize(band, objective, scaled):
         outcome = original(band, objective, scaled)
         pivots.append(outcome.pivots)
         return outcome
