@@ -31,6 +31,7 @@ membership tests.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +123,7 @@ class SystemSpec:
         if tau0.shape[0] != n:
             raise ValueError(f"tau0 has length {tau0.shape[0]}, expected {n}")
         eps = float(self.epsilon)
-        if not np.isfinite(eps) or eps <= 0:
+        if isinstance(self.epsilon, (bool, np.bool_)) or not np.isfinite(eps) or eps <= 0:
             raise ValueError("epsilon must be a positive finite real")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -299,11 +300,14 @@ def sensitivity_rows(sys: SystemSpec, a_tilde, horizon: int) -> np.ndarray:
     Raises :class:`OverflowError` naming the first block that left the
     floating-point range.
     """
-    at = as_matrix(a_tilde, "a_tilde")
-    if int(horizon) < 0:
-        raise ValueError("horizon must be nonnegative")
+    at = _resolve_a_tilde(sys, None, a_tilde)
+    return _output_rows(sys, at, _count(horizon, "horizon", 0, "nonnegative"))
+
+
+def _output_rows(sys: SystemSpec, at: np.ndarray, horizon: int) -> np.ndarray:
+    """:func:`sensitivity_rows` of a checked ``at`` and ``horizon``."""
     p = sys.p
-    out = np.empty(((int(horizon) + 1) * p, sys.n))
+    out = np.empty(((horizon + 1) * p, sys.n))
     out[:p] = sys.c
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(p, out.shape[0], p):
@@ -338,6 +342,21 @@ def _advance(block: np.ndarray, a_tilde: np.ndarray, step: int) -> np.ndarray:
             constraint=2 * j + 1,
         )
     return out
+
+
+def _count(value, name: str, least: int, bound: str) -> int:
+    """A count argument as an int.  numpy integers pass; a bool or a float,
+    even 2.0, raises :class:`ValueError`, and so does a count below
+    ``least``, as "``name`` must be ``bound``"."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < least:
+        raise ValueError(f"{name} must be {bound}")
+    return value
 
 
 def _check_stop_tol(stop_tol: float) -> None:
@@ -402,13 +421,12 @@ def determine(
     accumulated rows describe an outer truncation only.
     """
     at = _resolve_a_tilde(sys, gain, a_tilde)
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    max_iter = _count(max_iter, "max_iter", 1, "at least 1")
     _check_stop_tol(stop_tol)
     band = Band(sys.c[:0], sys.epsilon)  # block k joins at step k, once advanced
     blocks, joining = [sys.c], equilibrate(sys.c)
     history: list[IterationRecord] = []
-    for k in range(int(max_iter)):
+    for k in range(max_iter):
         objective = _advance(blocks[-1], at, k)
         scaled, scale = equilibrate(objective)  # for this step's LPs, then the next join
         history.append(_step(band, *joining, objective, scaled, stop_tol, k))
@@ -442,13 +460,12 @@ def stop_test(
     band the stored rows join as one block.  For a determined set this must
     pass at every step beyond k0 — the fixpoint, once reached, persists.
     """
-    if objective_step < 0:
-        raise ValueError("objective_step must be nonnegative")
+    objective_step = _count(objective_step, "objective_step", 0, "nonnegative")
     _check_stop_tol(stop_tol)
     # a caller-built set enters here; the band checks epsilon
     rows = as_matrix(cap.constraint_rows, "constraint rows")
     block = rows[: cap.output_dim]
-    for _ in range(int(objective_step)):
+    for _ in range(objective_step):
         block = _advance(block, cap.a_tilde, objective_step)
     band = Band(rows[:0], cap.epsilon)
     record = _step(band, *equilibrate(rows), block, equilibrate(block)[0], stop_tol, objective_step)
@@ -547,8 +564,7 @@ def analyze(
     at = _resolve_a_tilde(sys, gain, a_tilde)
     if horizon is None:
         horizon = 4 * sys.n
-    if horizon < sys.n:
-        raise ValueError(f"horizon must be at least n = {sys.n}")
+    horizon = _count(horizon, "horizon", sys.n, f"at least n = {sys.n}")
     controllable = None
     if sys.b is not None:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -557,14 +573,14 @@ def analyze(
         _require_finite([blocks.T], sys.b.shape[1], "the controllability matrix")
         controllable = rank(blocks) == sys.n
     # horizon >= n, so the first n blocks form the observability matrix
-    rows = sensitivity_rows(sys, at, horizon)
+    rows = _output_rows(sys, at, horizon)
     observable = rank(rows[: sys.n * sys.p]) == sys.n
     # the radius is at most the norm, so the norm's overflow is met first
     norm = induced_inf_norm(at)
     radius = spectral_radius(at)
     decay_index = None
     if radius < 1.0:
-        blocks = rows.reshape(int(horizon) + 1, sys.p, sys.n)
+        blocks = rows.reshape(horizon + 1, sys.p, sys.n)
         # a row sum of finite entries can still overflow; inf is above the band
         with np.errstate(over="ignore"):
             norms = np.abs(blocks).sum(axis=2).max(axis=1)
@@ -609,14 +625,12 @@ def simulate(
     beta = as_vector(beta, "beta")
     if beta.shape[0] != sys.n:
         raise ValueError(f"beta has length {beta.shape[0]}, expected {sys.n}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    steps = _count(steps, "steps", 0, "nonnegative")
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be a finite number")
     if gain is not None and gain.k.shape[1] != sys.n:
         raise ValueError(f"gain has {gain.k.shape[1]} columns, expected {sys.n}")
-    steps = int(steps)
     states = np.empty((steps + 1, sys.n))
     # one finiteness check after the loop, not one per step
     with np.errstate(over="ignore", invalid="ignore"):
@@ -700,8 +714,7 @@ def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
             "region sampling requires a two-state system, got "
             f"{rows.shape[1]} states"
         )
-    if int(grid) < 2:
-        raise ValueError("grid must be at least 2")
+    grid = _count(grid, "grid", 2, "at least 2")
     x_lo, x_hi = (float(x_range[0]), float(x_range[1]))
     y_lo, y_hi = (float(y_range[0]), float(y_range[1]))
     if not np.all(np.isfinite([x_lo, x_hi, y_lo, y_hi])):
@@ -711,7 +724,6 @@ def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
     # a width past the float range would sample inf and NaN, unsorted, xs
     if not np.all(np.isfinite([x_hi - x_lo, y_hi - y_lo])):
         raise ValueError("ranges must have widths within the floating-point range")
-    grid = int(grid)
     xs = np.linspace(x_lo, x_hi, grid)
     ys = np.linspace(y_lo, y_hi, grid)
     bound = cap.epsilon + MEMBERSHIP_TOL

@@ -221,3 +221,40 @@ def growing_mode(c, a_tilde):
             ):
                 return lam, v
     return None
+
+
+def admissible_horizon(c, a_tilde, *, margin=1e-9, limit=1000):
+    """Gilbert & Tan's bound on the determination index, from norms alone.
+
+    With ``O`` the first n output blocks ``c a_tilde**i`` and
+    ``R = ||pinv(O)||_inf``, every state of ``Theta_j`` (j >= n-1) has
+    ``|x|_inf <= R epsilon``, so block i holds on it once
+    ``||c a_tilde**i||_inf R <= 1``.  With ``m`` the first power with
+    ``||a_tilde**m||_inf <= 1``, m such blocks in a row after j make every
+    later block hold too, so ``Theta_j`` is the capacity set and the index
+    is at most j.  Returns the first such j, or None when ``O`` has rank
+    below n or no m or j turns up within ``limit`` steps.  Every norm is
+    inflated by ``1 + margin``, so rounding can only make the bound larger.
+    """
+    at = np.asarray(a_tilde, dtype=float)
+    n = at.shape[0]
+    grow = 1.0 + margin
+    blocks = [np.asarray(c, dtype=float)]
+    while len(blocks) < n:
+        blocks.append(blocks[-1] @ at)
+    obs = np.vstack(blocks)
+    if np.linalg.matrix_rank(obs) < n:
+        return None
+    reach = grow * np.abs(np.linalg.pinv(obs)).sum(axis=1).max()
+    power, m = at, 1
+    while grow * np.abs(power).sum(axis=1).max() > 1.0:
+        if m == limit:
+            return None
+        power, m = power @ at, m + 1
+    block, run = blocks[-1], 0
+    for i in range(n, n + limit):
+        block = block @ at
+        run = run + 1 if grow * np.abs(block).sum(axis=1).max() * reach <= 1.0 else 0
+        if run == m:
+            return i - m
+    return None

@@ -38,6 +38,7 @@ from gaincap.cli import load_problem, main
 from gaincap.linalg import induced_inf_norm
 from gaincap.lp import OPTIMAL, UNBOUNDED, _simplex, maximize
 from oracles import (
+    admissible_horizon,
     exact_determination_index,
     exact_maximize,
     exact_step_maxima,
@@ -394,6 +395,36 @@ def test_criterion_8_termination_guarantees():
         # marginal spectral radius (exactly 1) is no obstacle in itself
         _, cap7 = capacity("ex7")
         assert cap7.status == DETERMINED and cap7.k0 == 1
+
+
+def test_determination_index_within_the_admissible_horizon():
+    # Gilbert & Tan's horizon bounds k0 from norms alone, with no LP; loops
+    # of spectral radius 1 (ex3/4/5/7/8/10) and ex9 have no such bound
+    for name, horizon in (("ex1", 9), ("ex2", 1), ("ex6", 21)):
+        problem, cap = capacity(name)
+        assert admissible_horizon(problem.system.c, cap.a_tilde) == horizon
+        assert cap.k0 <= horizon, f"{name}: k0={cap.k0} beyond horizon {horizon}"
+    for name in ("ex3", "ex4", "ex5", "ex7", "ex8", "ex9", "ex10"):
+        problem, cap = capacity(name)
+        assert admissible_horizon(problem.system.c, cap.a_tilde) is None, name
+    rng = np.random.default_rng(1991)
+    bounded = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 6))
+        p = int(rng.integers(1, 3))
+        a_tilde = rng.normal(size=(n, n))
+        a_tilde *= rng.uniform(0.2, 0.9) / np.max(np.abs(np.linalg.eigvals(a_tilde)))
+        c = rng.normal(size=(p, n))
+        horizon = admissible_horizon(c, a_tilde)
+        if horizon is None:
+            continue
+        bounded += 1
+        sys_ = SystemSpec(a_tilde, None, c, np.zeros(n), float(rng.uniform(0.2, 2.0)))
+        cap = determine(sys_, a_tilde=a_tilde, max_iter=horizon + 1)
+        assert cap.status == DETERMINED and cap.k0 <= horizon, (
+            f"trial {trial}: {cap.status}, k0={cap.k0} beyond horizon {horizon}"
+        )
+    assert bounded >= 250
 
 
 # ---------------------------------------------------------------------- 9

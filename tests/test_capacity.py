@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gaincap.capacity
+import gaincap.linalg
 import gaincap.lp
 from gaincap.capacity import (
     DETERMINED,
@@ -50,8 +51,10 @@ def two_state_gain():
 def test_system_validation():
     with pytest.raises(ValueError, match="square"):
         SystemSpec([[1.0, 0.0]], None, [[1.0, 0.0]], [0.0, 0.0], 1.0)
-    with pytest.raises(ValueError, match="epsilon"):
-        SystemSpec([[1.0]], None, [[1.0]], [0.0], 0.0)
+    # a bool is no band width, though float(True) is 1.0
+    for bad in (0.0, True, np.True_):
+        with pytest.raises(ValueError, match="epsilon must be a positive finite real"):
+            SystemSpec([[1.0]], None, [[1.0]], [0.0], bad)
     with pytest.raises(ValueError, match="tau0"):
         SystemSpec([[1.0]], None, [[1.0]], [0.0, 1.0], 1.0)
     with pytest.raises(ValueError, match="b has"):
@@ -84,6 +87,13 @@ def test_sensitivity_rows_frozen():
     assert np.allclose(sensitivity_rows(two_state(), np.eye(2), 0), [[1.0, 1.0]])
     rows7 = sensitivity_rows(two_state(), [[1.0, 0.0], [0.5, -0.1]], 1)
     assert np.allclose(rows7, [[1.0, 1.0], [1.5, -0.1]])
+
+
+def test_sensitivity_rows_checks_the_shape_of_a_tilde():
+    for bad in (np.eye(3), np.ones((2, 3)), np.ones((3, 2))):
+        rows, cols = bad.shape
+        with pytest.raises(ValueError, match=f"a_tilde must be 2x2, got {rows}x{cols}"):
+            sensitivity_rows(two_state(), bad, 2)
 
 
 def test_determine_requires_one_loop_description():
@@ -550,6 +560,26 @@ def test_analyze_horizon_validation():
         analyze(two_state(), two_state_gain(), horizon=1)
 
 
+def test_count_arguments_refuse_bools_and_fractions():
+    sys_, gain = two_state(), two_state_gain()
+    cap = determine(sys_, gain)
+    calls = [
+        ("max_iter", lambda v: determine(sys_, gain, max_iter=v).history),
+        ("steps", lambda v: simulate(sys_, gain, alpha=1.0, beta=[0.0, 0.0], steps=v).states),
+        ("horizon", lambda v: analyze(sys_, gain, horizon=v).decay_index),
+        ("horizon", lambda v: sensitivity_rows(sys_, cap.a_tilde, v)),
+        ("grid", lambda v: region_sample(cap, (-1.0, 1.0), (-1.0, 1.0), v)),
+        ("objective_step", lambda v: stop_test(cap, v)),
+    ]
+    for name, call in calls:
+        for bad in (2.5, 3.0, np.float64(3.0), True, np.True_):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                call(bad)
+        # numpy integers still count, as the int they hold
+        got, want = call(np.int64(3)), call(3)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
 def test_simulate_frozen_step():
     traj = simulate(two_state(), two_state_gain(), alpha=1.0, beta=[0.0, 0.0], steps=1)
     assert np.allclose(traj.states[0], [0.3, 0.5])
@@ -872,6 +902,29 @@ def test_determination_calls_no_linalg_routine(monkeypatch):
         cap = determine(sys_, a_tilde=sys_.a, max_iter=30)
         stop_test(cap, len(cap.history))
         check_gain(sys_, a_tilde=sys_.a, max_iter=30)
+
+
+def test_inputs_are_checked_once_where_they_enter(monkeypatch):
+    # SystemSpec and Gain check their arrays; analyze, check_gain and the
+    # linalg helpers below them take those arrays as they are
+    sys_, gain = two_state(), two_state_gain()
+    checked = []
+    for module in (gaincap.capacity, gaincap.linalg):
+        for name in ("as_matrix", "as_vector"):
+            def counted(*args, _check=getattr(module, name), **kwargs):
+                checked.append(args)
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    analyze(sys_, gain)
+    check_gain(sys_, gain)
+    assert checked == []
+    # a raw a_tilde is checked once, where it enters
+    raw = [[0.9, 0.0], [0.2, 0.1]]
+    for run in (analyze, check_gain):
+        checked.clear()
+        run(sys_, a_tilde=raw)
+        assert len(checked) == 1
 
 
 def test_ratio_past_the_float_range_never_blocks():

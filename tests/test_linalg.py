@@ -35,8 +35,8 @@ def test_as_vector():
 
 def test_rank_frozen_cases():
     assert rank(np.eye(3)) == 3
-    assert rank([[1.0, 2.0], [2.0, 4.0]]) == 1
-    assert rank([[-1.5, 2.0], [1.0, -3.0]]) == 2
+    assert rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+    assert rank(np.array([[-1.5, 2.0], [1.0, -3.0]])) == 2
     assert rank(np.zeros((4, 2))) == 0
     # relative to the largest entry, so numpy's default tolerance would say 2
     assert rank(np.diag([1.0, 1e-12])) == 1
@@ -60,8 +60,8 @@ def test_rank_of_transpose():
 
 
 def test_controllability_matrix_frozen():
-    a = [[0.9, 0.0], [0.6, 0.3]]
-    b = [[-1.5, 2.0], [1.0, -3.0]]
+    a = np.array([[0.9, 0.0], [0.6, 0.3]])
+    b = np.array([[-1.5, 2.0], [1.0, -3.0]])
     got = controllability_matrix(a, b)
     expected = [[-1.5, 2.0, -1.35, 1.8], [1.0, -3.0, -0.6, 0.3]]
     assert got.shape == (2, 4)
@@ -69,10 +69,10 @@ def test_controllability_matrix_frozen():
 
 
 def test_spectral_radius_frozen_cases():
-    assert spectral_radius([[0.9, 0.0], [0.2, 0.1]]) == pytest.approx(0.9)
-    assert spectral_radius([[0.5, 0.0], [-1.0, -0.4]]) == pytest.approx(0.5)
-    assert spectral_radius([[1.0, 0.0], [0.5, -0.1]]) == pytest.approx(1.0)
-    assert spectral_radius([[1.0, -1.0], [0.0, -1.0]]) == pytest.approx(1.0)
+    assert spectral_radius(np.array([[0.9, 0.0], [0.2, 0.1]])) == pytest.approx(0.9)
+    assert spectral_radius(np.array([[0.5, 0.0], [-1.0, -0.4]])) == pytest.approx(0.5)
+    assert spectral_radius(np.array([[1.0, 0.0], [0.5, -0.1]])) == pytest.approx(1.0)
+    assert spectral_radius(np.array([[1.0, -1.0], [0.0, -1.0]])) == pytest.approx(1.0)
 
 
 def test_spectral_radius_matches_numpy_on_triangular():
@@ -94,8 +94,8 @@ def test_spectral_radius_similarity_invariant():
 
 
 def test_induced_inf_norm():
-    assert induced_inf_norm([[1.0, -1.0], [0.0, -1.0]]) == 2.0
-    assert induced_inf_norm([[0.9, 0.0], [0.2, 0.1]]) == pytest.approx(0.9)
+    assert induced_inf_norm(np.array([[1.0, -1.0], [0.0, -1.0]])) == 2.0
+    assert induced_inf_norm(np.array([[0.9, 0.0], [0.2, 0.1]])) == pytest.approx(0.9)
     rng = np.random.default_rng(5)
     for _ in range(20):
         m = rng.normal(size=(3, 4))
@@ -107,12 +107,12 @@ def test_induced_inf_norm():
 def test_induced_inf_norm_overflow():
     # finite entries, but no finite row sum
     with pytest.raises(OverflowError, match="induced max-norm"):
-        induced_inf_norm([[1e308, -1e308], [0.0, 1.0]])
-    assert induced_inf_norm([[1e308, 0.0], [0.0, -1e308]]) == 1e308
+        induced_inf_norm(np.array([[1e308, -1e308], [0.0, 1.0]]))
+    assert induced_inf_norm(np.array([[1e308, 0.0], [0.0, -1e308]])) == 1e308
 
 
 def test_spectral_radius_overflow():
     # finite entries, but the eigenvalue 2e308 is not
     with pytest.raises(OverflowError, match="spectral radius"):
-        spectral_radius([[1e308, 1e308], [1e308, 1e308]])
-    assert spectral_radius([[1e308, 0.0], [0.0, -1.7e308]]) == 1.7e308
+        spectral_radius(np.array([[1e308, 1e308], [1e308, 1e308]]))
+    assert spectral_radius(np.array([[1e308, 0.0], [0.0, -1.7e308]])) == 1.7e308
