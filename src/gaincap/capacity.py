@@ -16,12 +16,8 @@ implied exactly when each signed output row at step k+1 has maximum at most
 epsilon over ``Theta_k``.  ``Theta_k`` is centrally symmetric, so a row and
 its negation have the same maximum and each row is maximized once.  The
 smallest such k is the determination index.  One
-:class:`~gaincap.lp.Band` carries the stacked rows through the search, each
-block scaled once, for its LPs and its join.  While the stack has rank below n,
-``Theta_k`` is a cylinder: a row with a part outside the row space of the
-stack (each stacked row scaled by its largest entry) is unbounded, and is
-recorded as such without a simplex.  The band grows that row space by
-Gram-Schmidt, so the search takes no SVD.
+:class:`~gaincap.lp.Band` carries the stacked rows through the search and
+answers each step's LPs (see :mod:`gaincap.lp`).
 
 Because trajectories are linear in (alpha, beta), the gain tolerates *every*
 disturbance pair at once exactly when tau0 and each canonical basis vector
@@ -44,7 +40,7 @@ from .linalg import (
     rank,
     spectral_radius,
 )
-from .lp import UNBOUNDED, Band, SimplexBudgetError, equilibrate
+from .lp import Band, SimplexBudgetError
 
 __all__ = [
     "DETERMINED",
@@ -188,11 +184,6 @@ class CapacitySet:
     status: str
     history: tuple[IterationRecord, ...] = field(repr=False)
 
-    @property
-    def steps_kept(self) -> int:
-        """Number of time steps represented in ``constraint_rows``."""
-        return self.constraint_rows.shape[0] // self.output_dim
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -268,7 +259,8 @@ class Trajectory:
 
 
 def closed_loop(sys: SystemSpec, gain: Gain) -> np.ndarray:
-    """Closed-loop dynamics ``a + b @ k``."""
+    """Closed-loop dynamics ``a + b @ k``.  Raises :class:`OverflowError`
+    when an entry leaves the floating-point range."""
     if sys.b is None:
         raise ValueError("system has no input map b; supply a_tilde directly")
     k = gain.k
@@ -276,17 +268,24 @@ def closed_loop(sys: SystemSpec, gain: Gain) -> np.ndarray:
         raise ValueError(
             f"gain is {k.shape[0]}x{k.shape[1]}, expected {sys.b.shape[1]}x{sys.n}"
         )
-    return sys.a + sys.b @ k
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = sys.a + sys.b @ k
+    if not np.isfinite(at).all():
+        raise OverflowError("the closed loop a + b k left the floating-point range")
+    return at
 
 
 def _resolve_a_tilde(sys: SystemSpec, gain: Gain | None, a_tilde) -> np.ndarray:
     if (gain is None) == (a_tilde is None):
         raise ValueError("provide exactly one of gain and a_tilde")
-    if gain is not None:
-        return closed_loop(sys, gain)
+    return closed_loop(sys, gain) if gain is not None else _as_a_tilde(a_tilde, sys.n)
+
+
+def _as_a_tilde(a_tilde, n: int) -> np.ndarray:
+    """A caller's closed loop, checked as a finite n x n matrix."""
     at = as_matrix(a_tilde, "a_tilde")
-    if at.shape != (sys.n, sys.n):
-        raise ValueError(f"a_tilde must be {sys.n}x{sys.n}, got {at.shape[0]}x{at.shape[1]}")
+    if at.shape != (n, n):
+        raise ValueError(f"a_tilde must be {n}x{n}, got {at.shape[0]}x{at.shape[1]}")
     return at
 
 
@@ -360,39 +359,23 @@ def _count(value, name: str, least: int, bound: str) -> int:
 
 
 def _check_stop_tol(stop_tol: float) -> None:
-    if isinstance(stop_tol, bool) or not 0 <= stop_tol < np.inf:
+    # a Python float bound, so that an int past the float range compares exactly
+    if isinstance(stop_tol, bool) or not 0 <= stop_tol <= float(np.finfo(float).max):
         raise ValueError("stop_tol must be a nonnegative finite number")
 
 
-def _step(
-    band: Band, joining: np.ndarray, joining_scale: np.ndarray, rows: np.ndarray,
-    scaled: np.ndarray, stop_tol: float, step: int,
-) -> IterationRecord:
-    """One convergence test, once the equilibrated rows ``joining`` (of
-    scale ``joining_scale``) have joined ``band``: the LP maxima of every
-    signed row of ``rows``, equilibrated as ``scaled``, over the band
-    (unbounded programs yield inf), stopped when all are within
-    ``epsilon + stop_tol``.  The band is centrally symmetric, so each row is
-    maximized once and its negation recorded with the same maximum.  A row
-    clearly outside the band's row space (see :meth:`Band.unbounded`) is
-    recorded as inf without a simplex.  A joining row too small to scale
-    against epsilon stops the step at constraint 1, before any row."""
-    try:
-        band.extend(joining, joining_scale)
-    except OverflowError as err:
-        raise DeterminationError(f"LP solver gave up: {err}", step=step, constraint=1) from err
+def _step(band: Band, rows: np.ndarray, stop_tol: float, step: int) -> IterationRecord:
+    """One convergence test: the maxima of every signed row of ``rows`` over
+    ``band``, stopped when all are within ``epsilon + stop_tol``.  The band
+    is centrally symmetric, so each row is maximized once and its negation
+    recorded with the same maximum; a failed join stops at constraint 1."""
     values = []
-    for j, (row, outside) in enumerate(zip(rows, band.unbounded(scaled))):
-        if outside:
-            values += [np.inf, np.inf]
-            continue
-        try:
-            outcome = band.maximize(row, scaled[j])
-        except (SimplexBudgetError, OverflowError) as err:
-            message = f"LP solver gave up: {err}"
-            raise DeterminationError(message, step=step, constraint=2 * j + 1) from err
-        value = float("inf") if outcome.status == UNBOUNDED else float(outcome.value)
-        values += [value, value]
+    try:
+        for value in band.maxima(rows):
+            values += [value, value]
+    except (SimplexBudgetError, OverflowError) as err:
+        message = f"LP solver gave up: {err}"
+        raise DeterminationError(message, step=step, constraint=len(values) + 1) from err
     stopped = all(v <= band.epsilon + stop_tol for v in values)
     return IterationRecord(step, tuple(values), stopped)
 
@@ -413,27 +396,22 @@ def determine(
     truncation has converged: k is the determination index and the stacked
     rows describe the capacity set exactly.  An unbounded subproblem or a
     larger maximum advances k.  One :class:`~gaincap.lp.Band` carries the
-    stack through the search: each block is scaled once, for its LPs and
-    its join, and grows the row space.  Until that space has rank n, a row
-    clearly outside it is recorded as unbounded without a simplex; a fuller
-    stack never has lower rank, so from full rank on every row is solved.
-    After ``max_iter`` steps the status is ``"iteration_limit"`` and the
-    accumulated rows describe an outer truncation only.
+    stack through the search.  After ``max_iter`` steps the status is
+    ``"iteration_limit"`` and the accumulated rows describe an outer
+    truncation only.
     """
     at = _resolve_a_tilde(sys, gain, a_tilde)
     max_iter = _count(max_iter, "max_iter", 1, "at least 1")
     _check_stop_tol(stop_tol)
-    band = Band(sys.c[:0], sys.epsilon)  # block k joins at step k, once advanced
-    blocks, joining = [sys.c], equilibrate(sys.c)
+    band = Band(sys.c, sys.epsilon)  # block k joins at step k, once advanced
+    blocks = [sys.c]
     history: list[IterationRecord] = []
     for k in range(max_iter):
         objective = _advance(blocks[-1], at, k)
-        scaled, scale = equilibrate(objective)  # for this step's LPs, then the next join
-        history.append(_step(band, *joining, objective, scaled, stop_tol, k))
+        history.append(_step(band, objective, stop_tol, k))
         if history[-1].stopped:
             break
         blocks.append(objective)
-        joining = scaled, scale
     # on the limit the last block never joined: the rows hold steps 0..max_iter-1
     stopped = history[-1].stopped
     rows = np.vstack(blocks[: len(history)])
@@ -464,11 +442,11 @@ def stop_test(
     _check_stop_tol(stop_tol)
     # a caller-built set enters here; the band checks epsilon
     rows = as_matrix(cap.constraint_rows, "constraint rows")
+    at = _as_a_tilde(cap.a_tilde, rows.shape[1])
     block = rows[: cap.output_dim]
     for _ in range(objective_step):
-        block = _advance(block, cap.a_tilde, objective_step)
-    band = Band(rows[:0], cap.epsilon)
-    record = _step(band, *equilibrate(rows), block, equilibrate(block)[0], stop_tol, objective_step)
+        block = _advance(block, at, objective_step)
+    record = _step(Band(rows, cap.epsilon), block, stop_tol, objective_step)
     return record.stopped, record.values
 
 
@@ -489,6 +467,15 @@ def _first_violations(cap: CapacitySet, products: np.ndarray) -> list[Violation 
     return violations
 
 
+def _stored_rows(cap: CapacitySet) -> np.ndarray:
+    """A caller's capacity set's rows as a float64 matrix, which unlike
+    :func:`as_matrix` may have no rows or non-finite entries."""
+    rows = np.asarray(cap.constraint_rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"constraint rows must be a 2-D array, got shape {rows.shape}")
+    return rows
+
+
 def membership(cap: CapacitySet, x) -> MembershipResult:
     """Test whether a state lies in the capacity set.
 
@@ -496,12 +483,11 @@ def membership(cap: CapacitySet, x) -> MembershipResult:
     iteration-limited set the rows only bound the true set from outside, so
     a pass is marked uncertified — but any violation is conclusive.
     """
+    rows = _stored_rows(cap)
     x = as_vector(x, "x")
-    if x.shape[0] != cap.constraint_rows.shape[1]:
-        raise ValueError(
-            f"x has length {x.shape[0]}, expected {cap.constraint_rows.shape[1]}"
-        )
-    (violation,) = _first_violations(cap, (cap.constraint_rows @ x)[:, None])
+    if x.shape[0] != rows.shape[1]:
+        raise ValueError(f"x has length {x.shape[0]}, expected {rows.shape[1]}")
+    (violation,) = _first_violations(cap, (rows @ x)[:, None])
     return MembershipResult(
         member=violation is None,
         certified=cap.status == DETERMINED,
@@ -708,7 +694,7 @@ def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
     O(grid) floats the working memory is the raster and one temporary of
     the same size.
     """
-    rows = cap.constraint_rows
+    rows = _stored_rows(cap)
     if rows.shape[1] != 2:
         raise ValueError(
             "region sampling requires a two-state system, got "

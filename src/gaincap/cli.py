@@ -33,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -356,17 +356,8 @@ def _report_json(report: SensitivityReport) -> dict:
         "admissible": report.admissible,
         "certified": report.capacity.status == DETERMINED,
         "alpha_tolerable": report.alpha_tolerable,
-        "alpha_violation": None
-        if viol is None
-        else {"step": viol.step, "constraint": viol.constraint, "magnitude": viol.magnitude},
-        "beta_violations": [
-            {
-                "index": bv.index,
-                "first_violation_step": bv.first_violation_step,
-                "magnitude": bv.magnitude,
-            }
-            for bv in report.beta_violations
-        ],
+        "alpha_violation": None if viol is None else asdict(viol),
+        "beta_violations": [asdict(bv) for bv in report.beta_violations],
         "capacity": {
             "status": report.capacity.status,
             "k0": report.capacity.k0,
@@ -418,20 +409,7 @@ def cmd_analyze(args) -> int:
     problem = load_problem(args.file)
     rep = analyze(problem.system, **_loop(problem), horizon=problem.options.horizon)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "controllable": rep.controllable,
-                    "observable": rep.observable,
-                    "spectral_radius": rep.spectral_radius,
-                    "inf_norm": rep.inf_norm,
-                    "norm_guarantee": rep.norm_guarantee,
-                    "structural_guarantee": rep.structural_guarantee,
-                    "decay_index": rep.decay_index,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(asdict(rep), indent=2))
     else:
         if rep.controllable is None:
             print("controllable: not evaluated (no input map in file)")

@@ -5,13 +5,16 @@ over a band ``|s x| <= epsilon``, x sign-free, stated as
 ``[s; -s] x <= epsilon``.  As epsilon >= 0 the origin is feasible, so the
 all-slack basis at the origin is the start vertex and no phase 1 is needed.
 A :class:`Band` holds the band of a stack that grows by one block of rows
-per step.  Each block is equilibrated (each row scaled by its largest
-absolute entry) once, by :func:`equilibrate`, for the LPs it is the
+per step, and :meth:`Band.maxima` gives each row of the next block its
+maximum over the band.  Each block is equilibrated (each row scaled by its
+largest absolute entry) once, by :func:`equilibrate`, for the LPs it is the
 objective of and then for its join; that is exactly invertible, leaves the
 feasible set untouched, and keeps the tableau well-conditioned when rows
 span many orders of magnitude.  The LPs over one stack copy one shared
-tableau body, and the band grows an orthonormal basis of its row space,
-which answers a row clearly outside it as unbounded without a simplex.
+tableau body.  While the stack has rank below n the band is a cylinder, and
+a row clearly outside the stack's row space is unbounded: the band grows an
+orthonormal basis of that space by Gram-Schmidt, with no SVD, and answers
+such a row as inf without a simplex, until the rank reaches n.
 
 All simplex state lives in one compact tableau that keeps only the
 nonbasic columns: each free variable is split into two nonnegative ones
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +114,8 @@ class Band:
     :meth:`extend`, with what every LP over it shares.
 
     Each row joins equilibrated (see :func:`equilibrate`), with its bound
-    scaled to ``epsilon / scale``; ``s`` is taken as float64.  Raises
-    :class:`ValueError` when epsilon is negative or not finite.
+    scaled to ``epsilon / scale``, and ``s`` (as float64) at the first rank
+    test or LP.  Raises :class:`ValueError` unless epsilon >= 0 is finite.
     """
 
     def __init__(self, s: np.ndarray, epsilon: float):
@@ -124,8 +128,7 @@ class Band:
         self._upper = np.empty((0, 2 * n + 1))  # [rows | -rows | bounds], doubled when full
         self._basis = np.empty((n, n))  # the first `rank` rows span the row space
         self._body = None
-        if len(s):  # determine starts empty, and its rows join step by step
-            self.extend(*equilibrate(s))
+        self._joining = equilibrate(s)  # joins before the next rank test or LP
 
     def extend(self, scaled: np.ndarray, scale: np.ndarray) -> None:
         """Let the rows ``scaled * scale[:, None]`` join the band, given as
@@ -158,6 +161,7 @@ class Band:
         part outside the basis passes numpy's default rank tolerance, with
         ``sqrt(r * n)``, a bound on the norm of the equilibrated stack, for
         its largest singular value.  From rank n on no row is outside."""
+        self._join()
         n = self._basis.shape[0]
         for row in self._upper[self._spanned : self.size, :n] if self.rank < n else ():
             self._spanned += 1
@@ -181,11 +185,28 @@ class Band:
         :class:`LpOutcome` with status ``optimal`` (point and value set) or
         ``unbounded``.  Raises :class:`OverflowError` when the maximum has
         no float value."""
+        self._join()
         if self._body is None:  # [G | -G | h], shared until the next extend
             upper = self._upper[: self.size]
             self._body = np.concatenate([upper, -upper])
             self._body[self.size :, -1] *= -1.0  # -rows keep their bounds
         return _solve(self._body, objective, scaled)
+
+    def maxima(self, rows: np.ndarray) -> Iterator[float]:
+        """Yield the maximum of each float64 row of ``rows`` over the band, inf
+        when unbounded, by :meth:`unbounded` or :meth:`maximize`.  ``rows`` are
+        equilibrated once, for their LPs and, once all are yielded, for their
+        join at the next call; a join raises as :meth:`extend` does."""
+        scaled, scale = equilibrate(rows)
+        for row, row_s, outside in zip(rows, scaled, self.unbounded(scaled)):
+            outcome = None if outside else self.maximize(row, row_s)
+            yield math.inf if outside or outcome.status == UNBOUNDED else outcome.value
+        self._joining = scaled, scale
+
+    def _join(self) -> None:
+        if self._joining is not None:  # rows of the constructor or the last maxima
+            self.extend(*self._joining)
+            self._joining = None
 
 
 def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:

@@ -425,6 +425,17 @@ def test_determination_index_within_the_admissible_horizon():
             f"trial {trial}: {cap.status}, k0={cap.k0} beyond horizon {horizon}"
         )
     assert bounded >= 250
+    # the benchmark's slow-converging ladder loops rho * Q (k0 19-54) keep
+    # their recorded k0 and status, within a horizon that needs no LP
+    ladder_path = Path(__file__).parent.parent / "perfbench" / "ladder_cases.json"
+    ladder = json.loads(ladder_path.read_text())
+    for case in ladder["cases"]:
+        a_tilde, c = np.array(case["a_tilde"]), np.array(case["c"])
+        sys_ = SystemSpec(a_tilde, None, c, np.zeros(case["n"]), ladder["epsilon"])
+        cap = determine(sys_, a_tilde=a_tilde)
+        assert (cap.k0, cap.status) == (case["k0"], case["status"]), case["seed"]
+        horizon = admissible_horizon(c, a_tilde)
+        assert horizon is not None and cap.k0 <= horizon, (case["seed"], cap.k0, horizon)
 
 
 # ---------------------------------------------------------------------- 9

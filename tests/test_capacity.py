@@ -75,6 +75,19 @@ def test_closed_loop_frozen():
     assert np.allclose(closed_loop(two_state(), Gain(np.zeros((2, 2)))), two_state().a)
 
 
+def test_closed_loop_overflow_names_the_closed_loop():
+    # b @ k of a finite gain leaves the float range: numpy's overflow warning
+    # (an error under pytest's filterwarnings) must not escape, and every
+    # entry point stops on the closed loop, not on an output row
+    sys_ = SystemSpec(two_state().a, [[1.0, 2.0], [3.0, 1.0]], [[1.0, 1.0]], [0.3, 0.5], 1.0)
+    gain = Gain([[1e308, 1e308], [1e308, 1e308]])
+    for call in (closed_loop, determine, check_gain, analyze):
+        with pytest.raises(OverflowError, match="closed loop a \\+ b k left the floating-point"):
+            call(sys_, gain)
+    with pytest.raises(OverflowError, match="closed loop"):
+        simulate(sys_, gain, alpha=1.0, beta=[0.0, 0.0], steps=2)
+
+
 def test_closed_loop_requires_input_map():
     sys_no_b = SystemSpec([[1.0]], None, [[1.0]], [0.0], 1.0)
     with pytest.raises(ValueError, match="input map"):
@@ -105,7 +118,9 @@ def test_determine_requires_one_loop_description():
 
 def test_determine_rejects_bad_stop_tol():
     cap = determine(two_state(), two_state_gain())
-    for bad in (-1.0, math.inf, math.nan, True):
+    # an int past the float range is refused as the CLI refuses it, where
+    # epsilon + stop_tol would raise OverflowError after the first LPs
+    for bad in (-1.0, math.inf, math.nan, True, 10**400):
         with pytest.raises(ValueError, match="stop_tol"):
             determine(two_state(), two_state_gain(), stop_tol=bad)
         with pytest.raises(ValueError, match="stop_tol"):
@@ -1018,6 +1033,30 @@ def test_stop_test_takes_integer_and_nested_list_rows():
         other = dataclasses.replace(cap, constraint_rows=caller_rows)
         for objective_step in (0, 1, 3):
             assert stop_test(other, objective_step) == stop_test(float_cap, objective_step)
+
+
+def test_caller_built_set_is_checked_where_it_enters():
+    # stop_test checks a caller-built set's closed loop as determine checks
+    # a raw a_tilde, before it advances a row; membership and region_sample
+    # take nested-list rows as stop_test does, and refuse rows that are no
+    # matrix
+    cap = determine(two_state(), two_state_gain())
+    for a_tilde, message in (
+        (np.eye(3), "a_tilde must be 2x2, got 3x3"),
+        ([[0.9, 0.0], [math.nan, 0.1]], "a_tilde contains non-finite entries"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            stop_test(dataclasses.replace(cap, a_tilde=a_tilde), 1)
+    listed = dataclasses.replace(cap, constraint_rows=cap.constraint_rows.tolist())
+    for x in ([0.3, 0.5], [1.2, -0.4], [0.0, 20.0]):
+        assert membership(listed, x) == membership(cap, x)
+    window = ((-3.0, 3.0), (-20.0, 20.0), 41)
+    assert np.array_equal(region_sample(listed, *window), region_sample(cap, *window))
+    flat = dataclasses.replace(cap, constraint_rows=[1.0, 1.0])
+    with pytest.raises(ValueError, match="constraint rows must be a 2-D array"):
+        membership(flat, [0.3, 0.5])
+    with pytest.raises(ValueError, match="constraint rows must be a 2-D array"):
+        region_sample(flat, *window)
 
 
 def test_subnormal_band_row_stops_determination():

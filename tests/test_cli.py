@@ -312,6 +312,24 @@ def test_analyze_norm_overflow_exits_input(tmp_path, capsys):
     assert captured.err == "gaincap: error: the induced max-norm left the floating-point range\n"
 
 
+def test_closed_loop_overflow_exits_input(tmp_path, capsys):
+    # A + B K of a finite gain leaves the float range: the error names the
+    # closed loop, with no numpy warning, before any fixpoint step
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps({
+        "n": 2, "m": 2, "p": 1, "A": [[0.9, 0], [0.6, 0.3]], "B": [[1, 2], [3, 1]],
+        "C": [[1, 1]], "K": [[1e308, 1e308], [1e308, 1e308]], "tau0": [0.3, 0.5], "epsilon": 1,
+    }), encoding="utf-8")
+    for command in ("determine", "check-gain", "analyze"):
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == (
+            "gaincap: error: the closed loop a + b k left the floating-point range\n"
+        )
+
+
 def test_closed_stdout_exits_quietly():
     # 5000 steps are far more than a pipe buffer holds, so the writes after
     # the reader has gone fail; so would the interpreter's flush at exit
