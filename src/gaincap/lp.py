@@ -6,15 +6,14 @@ over a band ``|s x| <= epsilon``, x sign-free, stated as
 all-slack basis at the origin is the start vertex and no phase 1 is needed.
 A :class:`Band` holds the band of a stack that grows by one block of rows
 per step, and :meth:`Band.maxima` gives each row of the next block its
-maximum over the band.  Each block is equilibrated (each row scaled by its
-largest absolute entry) once, by :func:`equilibrate`, for the LPs it is the
-objective of and then for its join; that is exactly invertible, leaves the
-feasible set untouched, and keeps the tableau well-conditioned when rows
-span many orders of magnitude.  The LPs over one stack copy one shared
-tableau body.  While the stack has rank below n the band is a cylinder, and
-a row clearly outside the stack's row space is unbounded: the band grows an
-orthonormal basis of that space by Gram-Schmidt, with no SVD, and answers
-such a row as inf without a simplex, until the rank reaches n.
+maximum.  Each block is equilibrated (each row scaled by its largest
+absolute entry) once, by :func:`equilibrate`, for its LPs and its join;
+that is exactly invertible, leaves the feasible set untouched, and keeps
+the tableau well-conditioned when rows span many orders of magnitude.  The
+LPs over one stack copy one shared tableau body.  While the stack has rank
+below n the band is a cylinder: it grows an orthonormal basis of the row
+space by Gram-Schmidt, with no SVD, and answers a row clearly outside that
+space as unbounded (inf) without a simplex.
 
 All simplex state lives in one compact tableau that keeps only the
 nonbasic columns: each free variable is split into two nonnegative ones
