@@ -27,6 +27,7 @@ membership tests.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -270,8 +271,8 @@ def closed_loop(sys: SystemSpec, gain: Gain) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         at = sys.a + sys.b @ k
-    if not np.isfinite(at).all():
-        raise OverflowError("the closed loop a + b k left the floating-point range")
+        if not _all_finite(at):
+            raise OverflowError("the closed loop a + b k left the floating-point range")
     return at
 
 
@@ -300,27 +301,35 @@ def sensitivity_rows(sys: SystemSpec, a_tilde, horizon: int) -> np.ndarray:
     floating-point range.
     """
     at = _resolve_a_tilde(sys, None, a_tilde)
-    return _output_rows(sys, at, _count(horizon, "horizon", 0, "nonnegative"))
+    horizon = _count(horizon, "horizon", 0, "nonnegative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _output_rows(sys, at, horizon)
 
 
 def _output_rows(sys: SystemSpec, at: np.ndarray, horizon: int) -> np.ndarray:
-    """:func:`sensitivity_rows` of a checked ``at`` and ``horizon``."""
+    """:func:`sensitivity_rows` of a checked ``at`` and ``horizon``, under the
+    errstate of :func:`_all_finite`."""
     p = sys.p
     out = np.empty(((horizon + 1) * p, sys.n))
     out[:p] = sys.c
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(p, out.shape[0], p):
-            np.matmul(out[i - p : i], at, out=out[i : i + p])
+    for i in range(p, out.shape[0], p):
+        np.matmul(out[i - p : i], at, out=out[i : i + p])
     _require_finite([out], p, "output rows")
     out.setflags(write=False)
     return out
 
 
+def _all_finite(t: np.ndarray) -> bool:
+    """Whether every entry of ``t`` is finite, under an errstate ignoring over
+    and invalid: a finite sum proves it; else the entries are scanned."""
+    return math.isfinite(t.sum()) or bool(np.isfinite(t).all())
+
+
 def _require_finite(tables: list, rows_per_step: int, what: str) -> None:
     """Raise :class:`OverflowError` naming the first step whose rows of
     ``tables`` (row-aligned, ``rows_per_step`` rows per step) hold an inf
-    or NaN."""
-    if all(np.isfinite(t).all() for t in tables):
+    or NaN.  Called under the errstate of :func:`_all_finite`."""
+    if all(map(_all_finite, tables)):
         return
     finite = np.all([np.isfinite(t).all(axis=1) for t in tables], axis=0)
     step = int(np.argmin(finite)) // rows_per_step
@@ -333,14 +342,14 @@ def _advance(block: np.ndarray, a_tilde: np.ndarray, step: int) -> np.ndarray:
     for ``step``, in place of numpy's overflow warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = block @ a_tilde
-    if not np.isfinite(out).all():
-        j = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
-        raise DeterminationError(
-            f"output row {j + 1} overflowed the floating-point range",
-            step=step,
-            constraint=2 * j + 1,
-        )
-    return out
+        if _all_finite(out):
+            return out
+    j = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
+    raise DeterminationError(
+        f"output row {j + 1} overflowed the floating-point range",
+        step=step,
+        constraint=2 * j + 1,
+    )
 
 
 def _count(value, name: str, least: int, bound: str) -> int:
@@ -359,8 +368,11 @@ def _count(value, name: str, least: int, bound: str) -> int:
 
 
 def _check_stop_tol(stop_tol: float) -> None:
-    # a Python float bound, so that an int past the float range compares exactly
-    if isinstance(stop_tol, bool) or not 0 <= stop_tol <= float(np.finfo(float).max):
+    try:  # a Python float bound, so that an int past the float range compares exactly
+        number = not isinstance(stop_tol, bool) and 0 <= stop_tol <= float(np.finfo(float).max)
+    except TypeError:  # no number at all: a string, None, a list
+        number = False
+    if not number:
         raise ValueError("stop_tol must be a nonnegative finite number")
 
 
@@ -469,7 +481,10 @@ def _first_violations(cap: CapacitySet, products: np.ndarray) -> list[Violation 
 
 def _stored_rows(cap: CapacitySet) -> np.ndarray:
     """A caller's capacity set's rows as a float64 matrix, which unlike
-    :func:`as_matrix` may have no rows or non-finite entries."""
+    :func:`as_matrix` may have no rows or non-finite entries; its epsilon is
+    checked as :class:`~gaincap.lp.Band` checks it."""
+    if not 0.0 <= float(cap.epsilon) < math.inf:
+        raise ValueError("epsilon must be finite and nonnegative: the origin is the start vertex")
     rows = np.asarray(cap.constraint_rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError(f"constraint rows must be a 2-D array, got shape {rows.shape}")
@@ -512,7 +527,8 @@ def check_gain(
     """
     cap = determine(sys, gain, a_tilde=a_tilde, max_iter=max_iter, stop_tol=stop_tol)
     # rows @ [tau0 | I], whose identity block is the rows themselves
-    products = np.column_stack([cap.constraint_rows @ sys.tau0, cap.constraint_rows])
+    products = np.empty((cap.constraint_rows.shape[0], sys.n + 1))
+    products[:, 0], products[:, 1:] = cap.constraint_rows @ sys.tau0, cap.constraint_rows
     alpha_violation, *violations = _first_violations(cap, products)
     beta_violations = tuple(
         BetaViolation(index=j, first_violation_step=v.step, magnitude=v.magnitude)
@@ -551,25 +567,24 @@ def analyze(
     if horizon is None:
         horizon = 4 * sys.n
     horizon = _count(horizon, "horizon", sys.n, f"at least n = {sys.n}")
-    controllable = None
-    if sys.b is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # one for every product and sum
+        if sys.b is not None:
             blocks = controllability_matrix(sys.a, sys.b)
-        # block i is A^i B, the response i steps after an input impulse
-        _require_finite([blocks.T], sys.b.shape[1], "the controllability matrix")
-        controllable = rank(blocks) == sys.n
+            # block i is A^i B, the response i steps after an input impulse
+            _require_finite([blocks.T], sys.b.shape[1], "the controllability matrix")
+        rows = _output_rows(sys, at, horizon)
+        # each output-row block's max-norm; a row sum of finite entries can
+        # still overflow, and inf is above the band
+        sizes = np.abs(rows).reshape(horizon + 1, sys.p, sys.n)
+        norms = np.maximum.reduce(np.add.reduce(sizes, axis=2), axis=1)
+    controllable = None if sys.b is None else rank(blocks) == sys.n
     # horizon >= n, so the first n blocks form the observability matrix
-    rows = _output_rows(sys, at, horizon)
     observable = rank(rows[: sys.n * sys.p]) == sys.n
     # the radius is at most the norm, so the norm's overflow is met first
     norm = induced_inf_norm(at)
     radius = spectral_radius(at)
     decay_index = None
     if radius < 1.0:
-        blocks = rows.reshape(horizon + 1, sys.p, sys.n)
-        # a row sum of finite entries can still overflow; inf is above the band
-        with np.errstate(over="ignore"):
-            norms = np.abs(blocks).sum(axis=2).max(axis=1)
         over = np.flatnonzero(norms > sys.epsilon)
         last = int(over[-1]) if over.size else -1
         decay_index = last + 1 if last < horizon else None
@@ -631,7 +646,7 @@ def simulate(
                 break
         outputs = states @ sys.c.T
         inputs = None if gain is None else states @ gain.k.T
-    _require_finite([t for t in (states, inputs, outputs) if t is not None], 1, "the trajectory")
+        _require_finite([t for t in (states, inputs, outputs) if t is not None], 1, "the trajectory")
     if inputs is not None:
         inputs.setflags(write=False)
     states.setflags(write=False)

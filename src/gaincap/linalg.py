@@ -48,7 +48,7 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 def rank(m: np.ndarray) -> int:
     """Numerical rank: the number of singular values above ``RANK_TOL`` times
     the largest absolute entry."""
-    return int(np.linalg.matrix_rank(m, RANK_TOL * np.abs(m).max()))
+    return int(np.count_nonzero(np.linalg.svd(m, compute_uv=False) > RANK_TOL * np.abs(m).max()))
 
 
 def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,7 +75,7 @@ def induced_inf_norm(m: np.ndarray) -> float:
     Raises :class:`OverflowError` when a row sum of finite entries leaves
     the floating-point range."""
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m, np.inf))
+        norm = float(np.add.reduce(np.abs(m), axis=1).max())
     if norm == np.inf:
         raise OverflowError("the induced max-norm left the floating-point range")
     return norm

@@ -19,7 +19,7 @@ All simplex state lives in one compact tableau that keeps only the
 nonbasic columns: each free variable is split into two nonnegative ones
 and each constraint has a slack.  At the origin the tableau is
 ``[G | -G | h]``, with ``G`` the equilibrated ``[s; -s]`` and the scaled
-bounds ``h``, over the reduced-cost row ``[c | -c | 0]``; the label arrays
+bounds ``h``, over the reduced-cost row ``[c | -c | 0]``; the label lists
 ``basis`` and ``nonbasic`` name the variable of each row and column.  A
 pivot swaps two labels and writes the leaving variable's column where the
 entering one stood, so the unit columns of basic variables are never stored.
@@ -103,7 +103,7 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
 def equilibrate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``rows`` with each row divided by its largest absolute entry, and
     those entries; a zero row has scale 1 and stays zero."""
-    scale = np.abs(rows).max(axis=1)
+    scale = np.maximum.reduce(np.abs(rows), axis=1)
     scale[scale == 0.0] = 1.0
     return rows / scale[:, None], scale
 
@@ -124,7 +124,7 @@ class Band:
         s = np.asarray(s, dtype=float)
         n = s.shape[1]
         self.size = self.rank = self._spanned = 0  # _spanned rows have entered the basis
-        self._upper = np.empty((0, 2 * n + 1))  # [rows | -rows | bounds], doubled when full
+        self._upper = np.empty((2 * n, 2 * n + 1))  # [rows | -rows | bounds], doubled when full
         self._basis = np.empty((n, n))  # the first `rank` rows span the row space
         self._body = None
         self._joining = equilibrate(s)  # joins before the next rank test or LP
@@ -233,9 +233,10 @@ def _solve(body: np.ndarray, c: np.ndarray, c_s: np.ndarray, iteration_budget=No
 
     # split free variables; the slacks start basic at the origin, where the
     # reduced costs are the scaled objective itself
-    tab = np.concatenate([body, np.concatenate([c_s, -c_s, [0.0]])[None]])
-    basis = np.arange(2 * n, 2 * n + r)
-    nonbasic = np.arange(2 * n)
+    tab = np.empty((r + 1, 2 * n + 1))
+    tab[:-1], tab[-1, :n], tab[-1, -1] = body, c_s, 0.0
+    np.negative(c_s, out=tab[-1, n:-1])
+    basis, nonbasic = list(range(2 * n, 2 * n + r)), list(range(2 * n))
     reduced, rhs = tab[-1, :-1], tab[:-1, -1]  # views, updated in place by _pivot
 
     # a ratio or a tableau entry past the float range is inf; one errstate
@@ -258,13 +259,13 @@ def _solve(body: np.ndarray, c: np.ndarray, c_s: np.ndarray, iteration_budget=No
             if not candidates.size:
                 return LpOutcome(UNBOUNDED, pivots=pivots)
             ratios = np.maximum(rhs[candidates], 0.0) / column[candidates]
-            best = float(ratios.min())
+            best = float(ratios[ratios.argmin()])  # the first NaN, as min gives NaN
             limit = best + 1e-12 * (1.0 + best)
             if limit < np.inf:
                 ties = candidates[ratios <= limit]
             else:  # an inf or NaN ratio: every row ties, or none and row 0 is taken
                 ties = np.arange(r) if limit == np.inf else np.zeros(1, dtype=int)
-            row = int(ties[basis[ties].argmin()])
+            row = int(ties[0]) if ties.size == 1 else min(ties.tolist(), key=basis.__getitem__)
             if pivots >= budget:
                 raise SimplexBudgetError(f"pivot budget of {budget} exhausted ({r} constraints)")
             _pivot(tab, row, col)

@@ -125,6 +125,14 @@ def test_determine_rejects_bad_stop_tol():
             determine(two_state(), two_state_gain(), stop_tol=bad)
         with pytest.raises(ValueError, match="stop_tol"):
             stop_test(cap, 0, stop_tol=bad)
+    # a value that is no number is refused the same way, not by a TypeError
+    for bad in ("1e-9", None, [1]):
+        with pytest.raises(ValueError, match="stop_tol"):
+            determine(two_state(), two_state_gain(), stop_tol=bad)
+        with pytest.raises(ValueError, match="stop_tol"):
+            check_gain(two_state(), two_state_gain(), stop_tol=bad)
+        with pytest.raises(ValueError, match="stop_tol"):
+            stop_test(cap, 0, stop_tol=bad)
 
 
 def test_determine_two_state_frozen():
@@ -289,6 +297,30 @@ def test_analyze_row_sums_that_overflow():
     assert (rep.inf_norm, rep.decay_index) == (0.5, 1)  # block 0 sums to inf, block 1 to 1e308
     rep = analyze(dataclasses.replace(tall, epsilon=1.0), a_tilde=0.5 * np.eye(2))
     assert rep.decay_index is None
+
+
+def test_finite_entries_whose_sum_overflows():
+    # each finiteness check sums first and scans the entries only when the
+    # sum is not finite: the row [1e308, 1e308] is finite though its sum is
+    # not, and passes with no error and no warning (pytest turns warnings
+    # into errors) as a closed loop, output rows, a controllability matrix
+    # and states
+    row = [1e308, 1e308]
+    loop = SystemSpec(a=[row, [0.0, 0.5]], b=[[0.0], [1.0]], c=[[0.0, 1.0]], tau0=[0.0, 0.1],
+                      epsilon=1.0)
+    zero = Gain([[0.0, 0.0]])
+    assert same_bits(closed_loop(loop, zero), loop.a)
+    assert determine(loop, zero).k0 == 0
+    states = simulate(loop, zero, alpha=1.0, beta=[0.0, 0.0], steps=1).states
+    assert same_bits(states[1], loop.a @ loop.tau0)
+    tall = SystemSpec(a=0.9 * np.eye(2), b=[[1e308], [1e308]], c=[row], tau0=row, epsilon=1e10)
+    cap = determine(tall, zero)  # step 0's objective is [9e307, 9e307]
+    assert (cap.k0, cap.constraint_rows.tolist()) == (0, [row])
+    rep = analyze(tall, zero)
+    assert (rep.controllable, rep.observable, rep.inf_norm) == (False, False, 0.9)
+    wide = SystemSpec(a=np.eye(2), b=None, c=[[0.0, 1.0]], tau0=row, epsilon=1.0)
+    trajectory = simulate(wide, a_tilde=0.5 * np.eye(2), alpha=1.0, beta=[0.0, 0.0], steps=2)
+    assert trajectory.states[2].tolist() == [2.5e307, 2.5e307]
 
 
 def stepped(sys_, a_tilde, k, alpha, beta, steps):
@@ -1021,6 +1053,19 @@ def test_stop_test_rejects_negative_band():
             for objective_step in (0, 2):
                 with pytest.raises(ValueError, match="constraint rows"):
                     stop_test(dataclasses.replace(cap, constraint_rows=rows), objective_step)
+
+
+def test_membership_and_region_refuse_a_bad_epsilon():
+    # a caller-built set's epsilon is checked where the set enters, as
+    # stop_test's band checks it: a NaN band used to hold every point and an
+    # infinite one every cell
+    cap = determine(two_state(), two_state_gain())
+    for epsilon in (-1.0, math.nan, math.inf):
+        bad = dataclasses.replace(cap, epsilon=epsilon)
+        with pytest.raises(ValueError, match="origin is the start vertex"):
+            membership(bad, [100.0, 0.0])
+        with pytest.raises(ValueError, match="origin is the start vertex"):
+            region_sample(bad, (-1.0, 1.0), (-1.0, 1.0), 5)
 
 
 def test_stop_test_takes_integer_and_nested_list_rows():
