@@ -2,16 +2,16 @@
 
     python3 tools/layer_us.py CHECKOUT
 
-Runs the sweep and ladder workloads at seed 201 in process, five batches of
-every verdict each, with each layer below wrapped in a timer, and prints the
-best batch per layer.  A layer's time includes the layers it calls, and the
-wrappers' own cost.  ``step, no LP`` is a ``_step`` that solved no LP, and
-``step, LP glue`` a ``_step`` that did, less its simplex time.  The counts
-are per verdict.  gaincap and the workloads are imported from the checkout,
-and no bytecode is written.  A layer the checkout lacks prints ``-``.
+Runs sweep and ladder at seed 201 in process, five batches each, with each
+layer below wrapped in a timer, and prints each layer's best batch; a time
+includes the layers it calls and the wrappers' cost.  ``step, no LP`` is a
+``_step`` that solved no LP, ``step, LP glue`` one that did, less its
+simplex.  gaincap and the workloads come from the checkout, no bytecode is
+written, and a layer the checkout lacks prints ``-``.
 """
 
 import sys
+from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
 
@@ -19,50 +19,42 @@ CHECKOUT = Path(sys.argv[1]).resolve()
 sys.dont_write_bytecode = True
 sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "perfbench")]
 import gaincap  # noqa: E402
-import gaincap.capacity as capacity  # noqa: E402
-import gaincap.lp as lp  # noqa: E402
+from gaincap import capacity, lp  # noqa: E402
 import workloads  # noqa: E402
 
 assert Path(capacity.__file__).is_relative_to(CHECKOUT), capacity.__file__
 
 LAYERS = {
-    "analyze": (gaincap, "analyze"),
-    "rank": (capacity, "rank"),
-    "_output_rows": (capacity, "_output_rows"),
-    "spectral_radius": (capacity, "spectral_radius"),
+    "analyze": (gaincap, "analyze"), "rank": (capacity, "rank"),
+    "_output_rows": (capacity, "_output_rows"), "spectral_radius": (capacity, "spectral_radius"),
     "controllability_matrix": (capacity, "controllability_matrix"),
-    "induced_inf_norm": (capacity, "induced_inf_norm"),
-    "closed_loop": (capacity, "closed_loop"),
-    "check_gain": (gaincap, "check_gain"),
-    "determine": (capacity, "determine"),
-    "_advance": (capacity, "_advance"),
-    "_step": (capacity, "_step"),
-    "Band.extend": (lp.Band, "extend"),
-    "Band.unbounded": (lp.Band, "unbounded"),
+    "induced_inf_norm": (capacity, "induced_inf_norm"), "closed_loop": (capacity, "closed_loop"),
+    "check_gain": (gaincap, "check_gain"), "determine": (capacity, "determine"),
+    "_advance": (capacity, "_advance"), "_step": (capacity, "_step"),
+    "Band.extend": (lp.Band, "extend"), "Band.unbounded": (lp.Band, "unbounded"),
     "simplex": (lp, "_solve"),
 }
 COUNTS = ("steps", "no-LP steps", "LPs", "pivots", "skipped rows")
-tally = {}
+tally = defaultdict(float)
 
 
 def timed(name, call):
     def wrapper(*args, **kwargs):
-        lps, simplex = tally.get("LPs", 0), tally.get("simplex", 0.0)
+        lps, simplex = tally["LPs"], tally["simplex"]
         start = perf_counter()
         out = call(*args, **kwargs)
         spent = perf_counter() - start
-        tally[name] = tally.get(name, 0.0) + spent
+        tally[name] += spent
         if name == "_step":
-            idle = tally.get("LPs", 0) == lps
-            key = "step, no LP" if idle else "step, LP glue"
-            tally[key] = tally.get(key, 0.0) + spent - (tally.get("simplex", 0.0) - simplex)
-            counts = {"steps": 1, "no-LP steps": idle}
+            idle = tally["LPs"] == lps
+            tally["step, no LP" if idle else "step, LP glue"] += spent - tally["simplex"] + simplex
+            tally["steps"] += 1
+            tally["no-LP steps"] += idle
         elif name == "simplex":
-            counts = {"LPs": 1, "pivots": out.pivots}
-        else:
-            counts = {"skipped rows": sum(out)} if name == "Band.unbounded" else {}
-        for key, count in counts.items():
-            tally[key] = tally.get(key, 0) + int(count)
+            tally["LPs"] += 1
+            tally["pivots"] += out.pivots
+        elif name == "Band.unbounded":
+            tally["skipped rows"] += sum(out)
         return out
     return wrapper
 
@@ -71,7 +63,6 @@ absent = [name for name, (owner, attr) in LAYERS.items() if not hasattr(owner, a
 for name, (owner, attr) in LAYERS.items():
     if name not in absent:
         setattr(owner, attr, timed(name, getattr(owner, attr)))
-names = [*LAYERS, "step, no LP", "step, LP glue"]
 best = {}
 for workload in ("sweep", "ladder"):
     w = workloads.WORKLOADS[workload](201)
@@ -83,7 +74,7 @@ for workload in ("sweep", "ladder"):
         batches.append({k: v / w.size for k, v in tally.items()})
     best[workload] = {k: min(b.get(k, 0.0) for b in batches) for k in batches[0]}
 print(f"{'us per verdict':24}{'sweep':>10}{'ladder':>10}")
-for name in [*names, *COUNTS]:
-    scale, form = (1e6, ".1f") if name not in COUNTS else (1, ".2f")
+for name in [*LAYERS, "step, no LP", "step, LP glue", *COUNTS]:
+    scale, form = (1, ".2f") if name in COUNTS else (1e6, ".1f")
     cells = ["-" if name in absent else format(best[w].get(name, 0) * scale, form) for w in best]
     print(f"{name:24}{cells[0]:>10}{cells[1]:>10}")
