@@ -452,8 +452,8 @@ def stop_test(
     """
     objective_step = _count(objective_step, "objective_step", 0, "nonnegative")
     _check_stop_tol(stop_tol)
-    # a caller-built set enters here; the band checks epsilon
-    rows = as_matrix(cap.constraint_rows, "constraint rows")
+    # a caller-built set enters here
+    rows = as_matrix(_stored_rows(cap), "constraint rows")
     at = _as_a_tilde(cap.a_tilde, rows.shape[1])
     block = rows[: cap.output_dim]
     for _ in range(objective_step):
@@ -482,12 +482,16 @@ def _first_violations(cap: CapacitySet, products: np.ndarray) -> list[Violation 
 def _stored_rows(cap: CapacitySet) -> np.ndarray:
     """A caller's capacity set's rows as a float64 matrix, which unlike
     :func:`as_matrix` may have no rows or non-finite entries; its epsilon is
-    checked as :class:`~gaincap.lp.Band` checks it."""
+    checked as :class:`~gaincap.lp.Band` checks it, and its output_dim must
+    be a count of at least 1 that divides the number of rows."""
     if not 0.0 <= float(cap.epsilon) < math.inf:
         raise ValueError("epsilon must be finite and nonnegative: the origin is the start vertex")
     rows = np.asarray(cap.constraint_rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError(f"constraint rows must be a 2-D array, got shape {rows.shape}")
+    output_dim = _count(cap.output_dim, "output_dim", 1, "at least 1")
+    if rows.shape[0] % output_dim:
+        raise ValueError(f"output_dim {output_dim} does not divide the {rows.shape[0]} rows")
     return rows
 
 

@@ -15,6 +15,15 @@ below n the band is a cylinder: it grows an orthonormal basis of the row
 space by Gram-Schmidt, with no SVD, and answers a row clearly outside that
 space as unbounded (inf) without a simplex.
 
+The LPs of one block share one tableau.  The first starts at the origin;
+each later one starts from the vertex the one before it left, which is
+feasible as the band is the same, with the reduced costs of its own
+objective recomputed there in one matvec, ``cost_N - cost_B . T``.  When
+the new objective is negative at that vertex, the LP maximizes its
+negation instead and negates the point: the band is centrally symmetric,
+so both have the same maximum.  A single LP, :meth:`Band.maximize` called
+directly, :func:`maximize` or :func:`_simplex`, starts at the origin.
+
 All simplex state lives in one compact tableau that keeps only the
 nonbasic columns: each free variable is split into two nonnegative ones
 and each constraint has a slack.  At the origin the tableau is
@@ -28,14 +37,17 @@ The entering column is Dantzig's, the one with the largest reduced cost.
 One ``argmax`` both picks it and ends the phase: the LP is optimal when no
 reduced cost exceeds ``PIVOT_TOL``.  As ``argmax`` returns the first NaN,
 a full scan of the row confirms the end whenever the picked entry fails
-that test.  The ratio test runs over the candidate rows only, those whose
-pivot-column entry exceeds ``PIVOT_TOL``, and the leaving row is, among
-their ratio ties, the one whose basic variable has the smallest label.  A
-ratio past the float range is inf, so it never blocks a finite one.  Rows
-that are no candidate never enter the choice, except on a NaN ratio or when
-no ratio is finite, where the choice is the one a scan over every row would
-make.  Dantzig's rule can cycle on a degenerate vertex, so after half the
-pivot budget the entering scan switches to Bland's rule (the improving
+that test.  A structural variable (x+ or x-) that has entered the basis
+stands for a sign-free x, so it is free and does not leave: the ratio test
+compares the pivot column with a floor per row, ``PIVOT_TOL`` for a slack
+row and inf for a structural one.  The candidate rows are those whose
+entry exceeds its floor, and the leaving row is, among their ratio ties,
+the one whose basic variable has the smallest label.  A ratio past the
+float range is inf, so it never blocks a finite one.  Rows that are no
+candidate never enter the choice, except on a NaN ratio or when no ratio
+is finite, where the choice is the one a scan over every row would make,
+structural rows included.  Dantzig's rule can cycle on a degenerate
+vertex, so after half the pivot budget the entering scan switches to Bland's rule (the improving
 column with the smallest label), which with that leaving rule never cycles.
 A hard budget of ``50 * (variables + constraints)`` pivots guards against
 numerical stalls and raises :class:`SimplexBudgetError` when exceeded.  The
@@ -126,7 +138,7 @@ class Band:
         self.size = self.rank = self._spanned = 0  # _spanned rows have entered the basis
         self._upper = np.empty((2 * n, 2 * n + 1))  # [rows | -rows | bounds], doubled when full
         self._basis = np.empty((n, n))  # the first `rank` rows span the row space
-        self._body = None
+        self._body = self._block = None  # _block: the tableau a block's LPs share
         self._joining = equilibrate(s)  # joins before the next rank test or LP
 
     def extend(self, scaled: np.ndarray, scale: np.ndarray) -> None:
@@ -183,23 +195,30 @@ class Band:
         ``scaled``, the objective as :func:`equilibrate` scales it: an
         :class:`LpOutcome` with status ``optimal`` (point and value set) or
         ``unbounded``.  Raises :class:`OverflowError` when the maximum has
-        no float value."""
+        no float value.  Within :meth:`maxima` it starts from the vertex
+        the block's previous LP left; called directly, from the origin."""
         self._join()
         if self._body is None:  # [G | -G | h], shared until the next extend
             upper = self._upper[: self.size]
             self._body = np.concatenate([upper, -upper])
             self._body[self.size :, -1] *= -1.0  # -rows keep their bounds
-        return _solve(self._body, objective, scaled)
+        return _solve(self._body, objective, scaled, block=self._block)
 
     def maxima(self, rows: np.ndarray) -> Iterator[float]:
         """Yield the maximum of each float64 row of ``rows`` over the band, inf
         when unbounded, by :meth:`unbounded` or :meth:`maximize`.  ``rows`` are
         equilibrated once, for their LPs and, once all are yielded, for their
-        join at the next call; a join raises as :meth:`extend` does."""
+        join at the next call; a join raises as :meth:`extend` does.  The
+        block's LPs share one tableau: each after the first starts from the
+        vertex the one before it left."""
         scaled, scale = equilibrate(rows)
-        for row, row_s, outside in zip(rows, scaled, self.unbounded(scaled)):
-            outcome = None if outside else self.maximize(row, row_s)
-            yield math.inf if outside or outcome.status == UNBOUNDED else outcome.value
+        self._block = []
+        try:
+            for row, row_s, outside in zip(rows, scaled, self.unbounded(scaled)):
+                outcome = None if outside else self.maximize(row, row_s)
+                yield math.inf if outside or outcome.status == UNBOUNDED else outcome.value
+        finally:
+            self._block = None
         self._joining = scaled, scale
 
     def _join(self) -> None:
@@ -224,19 +243,50 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
     return _solve(body, c, equilibrate(c[None])[0][0], iteration_budget)
 
 
-def _solve(body: np.ndarray, c: np.ndarray, c_s: np.ndarray, iteration_budget=None) -> LpOutcome:
-    """The simplex from the origin over the equilibrated tableau body
-    ``[G | -G | h]``, which it leaves untouched, priced by the equilibrated
-    objective ``c_s`` and valued by ``c``."""
+def _reprice(tab: np.ndarray, basis: list, nonbasic: list, c_s: np.ndarray) -> bool:
+    """Write the reduced costs of ``c_s`` at the tableau's vertex into its
+    last row, ``cost_N - cost_B . T`` in one matvec, or, when ``c_s`` is
+    negative at that vertex, those of ``-c_s``; whether it took ``-c_s``."""
+    n = c_s.shape[0]
+    costs = np.zeros(tab.shape[0] + 2 * n)  # by label, then 0 for the bounds column
+    costs[:n] = c_s
+    np.negative(c_s, out=costs[n : 2 * n])
+    cost_n = costs.take(nonbasic + [costs.shape[0] - 1])
+    np.subtract(cost_n, costs.take(basis) @ tab[:-1], out=tab[-1])
+    if tab[-1, -1] > 0.0:  # minus the objective's value at the vertex
+        np.negative(tab[-1], out=tab[-1])
+        return True
+    return False
+
+
+def _solve(
+    body: np.ndarray, c: np.ndarray, c_s: np.ndarray, iteration_budget=None, block=None
+) -> LpOutcome:
+    """The simplex over the equilibrated tableau body ``[G | -G | h]``,
+    which it leaves untouched, priced by the equilibrated objective ``c_s``
+    and valued by ``c``.  It starts at the origin unless ``block`` holds the
+    tableau that an earlier LP over the same band body left, whose vertex it
+    starts from (see :meth:`Band.maxima`); a list ``block`` is left holding
+    this LP's tableau."""
     n, r = c.shape[0], body.shape[0]
     budget = 50 * (n + r) if iteration_budget is None else int(iteration_budget)
 
-    # split free variables; the slacks start basic at the origin, where the
-    # reduced costs are the scaled objective itself
-    tab = np.empty((r + 1, 2 * n + 1))
-    tab[:-1], tab[-1, :n], tab[-1, -1] = body, c_s, 0.0
-    np.negative(c_s, out=tab[-1, n:-1])
-    basis, nonbasic = list(range(2 * n, 2 * n + r)), list(range(2 * n))
+    if block:
+        tab, basis, nonbasic, floor = block
+        mirrored = _reprice(tab, basis, nonbasic, c_s)
+    else:
+        # split free variables; the slacks start basic at the origin, where
+        # the reduced costs are the scaled objective itself
+        tab = np.empty((r + 1, 2 * n + 1))
+        tab[:-1], tab[-1, :n], tab[-1, -1] = body, c_s, 0.0
+        np.negative(c_s, out=tab[-1, n:-1])
+        basis, nonbasic = list(range(2 * n, 2 * n + r)), list(range(2 * n))
+        # a row's least pivot-column entry to compete in the ratio test: a
+        # structural, once basic, is free and never leaves
+        floor = np.full(r, PIVOT_TOL)
+        mirrored = False
+        if block is not None:
+            block[:] = tab, basis, nonbasic, floor
     reduced, rhs = tab[-1, :-1], tab[:-1, -1]  # views, updated in place by _pivot
 
     # a ratio or a tableau entry past the float range is inf; one errstate
@@ -255,7 +305,7 @@ def _solve(body: np.ndarray, c: np.ndarray, c_s: np.ndarray, iteration_budget=No
                     break
                 col = int(np.argmin(np.where(improving, nonbasic, 2 * n + r)))
             column = tab[:-1, col]
-            candidates = (column > PIVOT_TOL).nonzero()[0]
+            candidates = (column > floor).nonzero()[0]
             if not candidates.size:
                 return LpOutcome(UNBOUNDED, pivots=pivots)
             ratios = np.maximum(rhs[candidates], 0.0) / column[candidates]
@@ -270,10 +320,13 @@ def _solve(body: np.ndarray, c: np.ndarray, c_s: np.ndarray, iteration_budget=No
                 raise SimplexBudgetError(f"pivot budget of {budget} exhausted ({r} constraints)")
             _pivot(tab, row, col)
             basis[row], nonbasic[col] = nonbasic[col], basis[row]
+            floor[row] = np.inf if basis[row] < 2 * n else PIVOT_TOL
 
     x_split = np.zeros(2 * n + r)
     x_split[basis] = rhs
     x = x_split[:n] - x_split[n : 2 * n]
+    if mirrored:  # the maximum of -c: the band is centrally symmetric
+        np.negative(x, out=x)
     x.setflags(write=False)
     # a maximum past the float range raises, not warns
     with np.errstate(over="ignore", invalid="ignore"):

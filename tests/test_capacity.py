@@ -903,20 +903,24 @@ def rank_test_loops(seed, count):
 
 
 def assert_matches_the_primal(sys_, cap):
-    """Every recorded maximum, skipped or solved, is bit for bit the
-    primal's over that step's stack; returns the skipped and the finite
-    maxima below full rank."""
+    """Every recorded maximum, skipped or solved, is bit for bit that of a
+    fresh band over that step's stack, inf exactly where the cold primal is
+    unbounded, and within 1e-9 of its maximum elsewhere; returns the
+    skipped and the finite maxima below full rank."""
     p, n = sys_.p, sys_.n
     rows = sensitivity_rows(sys_, cap.a_tilde, len(cap.history))
     skipped = finite = 0
     for record in cap.history:
         stack = rows[: p * (record.step + 1)]
-        expected = []
-        for row in rows[p * (record.step + 1) : p * (record.step + 2)]:
+        block = rows[p * (record.step + 1) : p * (record.step + 2)]
+        fresh = list(gaincap.lp.Band(stack, sys_.epsilon).maxima(block))
+        assert np.array(record.values).tobytes() == np.repeat(fresh, 2).tobytes()
+        for value, row in zip(record.values[0::2], block):
             outcome = gaincap.lp.maximize(row, stack, sys_.epsilon)
-            value = math.inf if outcome.status == gaincap.lp.UNBOUNDED else outcome.value
-            expected += [value, value]
-        assert np.array(record.values).tobytes() == np.array(expected).tobytes()
+            if outcome.status == gaincap.lp.UNBOUNDED:
+                assert value == math.inf
+            else:
+                assert value == pytest.approx(outcome.value, rel=1e-9, abs=0.0)
         if np.linalg.matrix_rank(stack) < n:
             finite += int(np.isfinite(record.values[0::2]).sum())
             skipped += int(np.isinf(record.values[0::2]).sum())
@@ -988,8 +992,8 @@ def test_determine_pivot_count_tripwire(monkeypatch):
     # a slow-converging loop rho * Q (Q orthogonal) stops at k0 = 47 after
     # 48 steps of 2 rows each; the 6 rows outside the row space of the first
     # 3 stacks are unbounded without a solve, leaving 90 LPs.  The pinned
-    # pivot total catches a change of pricing rule or tableau arithmetic
-    # that the k0 alone would not show
+    # pivot total catches a change of pricing rule, ratio test, warm start
+    # or tableau arithmetic that the k0 alone would not show
     rng = np.random.default_rng(0)
     q, r = np.linalg.qr(rng.standard_normal((8, 8)))
     a_tilde = 0.99 * q * np.sign(np.diag(r))
@@ -1006,7 +1010,26 @@ def test_determine_pivot_count_tripwire(monkeypatch):
     monkeypatch.setattr(gaincap.lp.Band, "maximize", counting_maximize)
     cap = determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
     assert (cap.k0, cap.status, len(pivots)) == (47, DETERMINED, 90)
-    assert sum(pivots) == 1254
+    assert sum(pivots) == 1173
+
+
+def test_budget_error_on_a_warm_row_names_its_constraint(monkeypatch):
+    # the LPs of a block after its first start from the vertex the one
+    # before left; a budget error there still stops the step at that row,
+    # constraint 2j+1.  On the loop above the first 3 steps skip both rows,
+    # so step 3's second row is the first that starts warm
+    rng = np.random.default_rng(0)
+    q, r = np.linalg.qr(rng.standard_normal((8, 8)))
+    a_tilde = 0.99 * q * np.sign(np.diag(r))
+    c = rng.standard_normal((2, 8))
+
+    def exhausted(*args):
+        raise gaincap.lp.SimplexBudgetError("pivot budget of 0 exhausted")
+
+    monkeypatch.setattr(gaincap.lp, "_reprice", exhausted)
+    with pytest.raises(DeterminationError, match="LP solver gave up: pivot budget") as err:
+        determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
+    assert (err.value.step, err.value.constraint) == (3, 3)
 
 
 def test_constraint_rows_own_their_bytes():
@@ -1066,6 +1089,30 @@ def test_membership_and_region_refuse_a_bad_epsilon():
             membership(bad, [100.0, 0.0])
         with pytest.raises(ValueError, match="origin is the start vertex"):
             region_sample(bad, (-1.0, 1.0), (-1.0, 1.0), 5)
+
+
+def test_caller_built_set_needs_an_output_dim_that_divides_its_rows():
+    # output_dim 0 made stop_test pass on no rows and membership divide by
+    # zero; 1.5 named a step 0.0, and -1 or 5 tested the wrong rows
+    cap = determine(two_state(), two_state_gain())
+    cap = dataclasses.replace(cap, constraint_rows=np.array([[1.0, 1.0], [1.0, 0.0], [2.0, -1.0]]))
+    for output_dim, message in (
+        (0, "output_dim must be at least 1"),
+        (-1, "output_dim must be at least 1"),
+        (1.5, "output_dim must be an integer"),
+        (True, "output_dim must be an integer"),
+        (2, "output_dim 2 does not divide the 3 rows"),
+        (5, "output_dim 5 does not divide the 3 rows"),
+    ):
+        bad = dataclasses.replace(cap, output_dim=output_dim)
+        with pytest.raises(ValueError, match=message):
+            stop_test(bad, 1)
+        with pytest.raises(ValueError, match=message):
+            membership(bad, [100.0, 0.0])
+        with pytest.raises(ValueError, match=message):
+            region_sample(bad, (-1.0, 1.0), (-1.0, 1.0), 5)
+    good = dataclasses.replace(cap, output_dim=np.int64(3))
+    assert membership(good, [100.0, 0.0]).violation == Violation(0, 1, 100.0)
 
 
 def test_stop_test_takes_integer_and_nested_list_rows():

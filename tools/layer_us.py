@@ -6,8 +6,10 @@ Runs sweep and ladder at seed 201 in process, five batches each, with each
 layer below wrapped in a timer, and prints each layer's best batch; a time
 includes the layers it calls and the wrappers' cost.  ``step, no LP`` is a
 ``_step`` that solved no LP, ``step, LP glue`` one that did, less its
-simplex.  gaincap and the workloads come from the checkout, no bytecode is
-written, and a layer the checkout lacks prints ``-``.
+simplex.  ``warm LPs`` counts the LPs that started from the vertex of their
+block's previous LP, each repriced once by ``_reprice``.  gaincap and the
+workloads come from the checkout, no bytecode is written, and a layer the
+checkout lacks prints ``-``.
 """
 
 import sys
@@ -32,9 +34,9 @@ LAYERS = {
     "check_gain": (gaincap, "check_gain"), "determine": (capacity, "determine"),
     "_advance": (capacity, "_advance"), "_step": (capacity, "_step"),
     "Band.extend": (lp.Band, "extend"), "Band.unbounded": (lp.Band, "unbounded"),
-    "simplex": (lp, "_solve"),
+    "simplex": (lp, "_solve"), "_reprice": (lp, "_reprice"),
 }
-COUNTS = ("steps", "no-LP steps", "LPs", "pivots", "skipped rows")
+COUNTS = ("steps", "no-LP steps", "LPs", "warm LPs", "pivots", "skipped rows")
 tally = defaultdict(float)
 
 
@@ -55,6 +57,8 @@ def timed(name, call):
             tally["pivots"] += out.pivots
         elif name == "Band.unbounded":
             tally["skipped rows"] += sum(out)
+        elif name == "_reprice":
+            tally["warm LPs"] += 1
         return out
     return wrapper
 
@@ -76,5 +80,6 @@ for workload in ("sweep", "ladder"):
 print(f"{'us per verdict':24}{'sweep':>10}{'ladder':>10}")
 for name in [*LAYERS, "step, no LP", "step, LP glue", *COUNTS]:
     scale, form = (1, ".2f") if name in COUNTS else (1e6, ".1f")
-    cells = ["-" if name in absent else format(best[w].get(name, 0) * scale, form) for w in best]
+    missing = name in absent or (name == "warm LPs" and "_reprice" in absent)
+    cells = ["-" if missing else format(best[w].get(name, 0) * scale, form) for w in best]
     print(f"{name:24}{cells[0]:>10}{cells[1]:>10}")
