@@ -47,12 +47,13 @@ float range is inf, so it never blocks a finite one.  Rows that are no
 candidate never enter the choice, except on a NaN ratio or when no ratio
 is finite, where the choice is the one a scan over every row would make,
 structural rows included.  Dantzig's rule can cycle on a degenerate
-vertex, so after half the pivot budget the entering scan switches to Bland's rule (the improving
-column with the smallest label), which with that leaving rule never cycles.
-A hard budget of ``50 * (variables + constraints)`` pivots guards against
-numerical stalls and raises :class:`SimplexBudgetError` when exceeded.  The
-simplex prices the equilibrated objective row, scaled once with its block;
-the reported value is recomputed from the caller's own row.
+vertex, so after half the pivot budget the entering scan switches to
+Bland's rule (the improving column with the smallest label), which with
+that leaving rule never cycles.  A hard budget of ``50 * (variables +
+constraints)`` pivots guards against numerical stalls and raises
+:class:`SimplexBudgetError` when exceeded.  The simplex prices the
+equilibrated objective row, scaled once with its block; the reported value
+is recomputed from the caller's own row.
 """
 
 from __future__ import annotations
@@ -160,6 +161,8 @@ class Band:
         np.negative(joining[:, :n], out=joining[:, n:-1])
         joining[:, -1] = self.epsilon / scale
         self.size, self._body = size, None
+        if self._block:  # a block's next LP starts over, at the origin of the grown band
+            self._block.clear()
 
     def unbounded(self, scaled: np.ndarray) -> list[bool]:
         """Whether each of the equilibrated rows ``scaled`` lies clearly
@@ -195,8 +198,9 @@ class Band:
         ``scaled``, the objective as :func:`equilibrate` scales it: an
         :class:`LpOutcome` with status ``optimal`` (point and value set) or
         ``unbounded``.  Raises :class:`OverflowError` when the maximum has
-        no float value.  Within :meth:`maxima` it starts from the vertex
-        the block's previous LP left; called directly, from the origin."""
+        no float value.  While :meth:`maxima` answers a block it starts
+        from the vertex the block's previous LP left, and otherwise from
+        the origin."""
         self._join()
         if self._body is None:  # [G | -G | h], shared until the next extend
             upper = self._upper[: self.size]
@@ -282,7 +286,7 @@ def _solve(
         np.negative(c_s, out=tab[-1, n:-1])
         basis, nonbasic = list(range(2 * n, 2 * n + r)), list(range(2 * n))
         # a row's least pivot-column entry to compete in the ratio test: a
-        # structural, once basic, is free and never leaves
+        # basic structural is free, so its row does not compete
         floor = np.full(r, PIVOT_TOL)
         mirrored = False
         if block is not None:

@@ -1016,8 +1016,8 @@ def test_determine_pivot_count_tripwire(monkeypatch):
 def test_budget_error_on_a_warm_row_names_its_constraint(monkeypatch):
     # the LPs of a block after its first start from the vertex the one
     # before left; a budget error there still stops the step at that row,
-    # constraint 2j+1.  On the loop above the first 3 steps skip both rows,
-    # so step 3's second row is the first that starts warm
+    # constraint 2j+1.  On the tripwire's loop the first 3 steps skip both
+    # rows, so step 3's second row is the first that starts warm
     rng = np.random.default_rng(0)
     q, r = np.linalg.qr(rng.standard_normal((8, 8)))
     a_tilde = 0.99 * q * np.sign(np.diag(r))

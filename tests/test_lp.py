@@ -172,6 +172,22 @@ def test_band_grown_by_blocks_solves_as_one_stack():
                 assert not outside or got.status == UNBOUNDED
 
 
+def test_rows_joining_mid_block_restart_its_lps():
+    # a block's LPs share one tableau; rows that join the band while the
+    # block is being answered make its next LP start at the origin of the
+    # grown band, so every maximum is that of the whole stack
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        s, block, extra = (rng.standard_normal((k, 3)) for k in (6, 3, 2))
+        band = Band(s, 1.0)
+        maxima = band.maxima(block)
+        next(maxima)
+        band.extend(*equilibrate(5.0 * extra))
+        for value, row in zip(maxima, block[1:]):
+            whole = maximize(row, np.vstack([s, 5.0 * extra]), 1.0)
+            assert value == pytest.approx(whole.value, rel=1e-9, abs=0.0)
+
+
 def test_maximum_past_the_float_range_raises():
     # max 1e300 x_1 over |x_1| <= 1e10 is 1e310; numpy's overflow warning (an
     # error under pytest's filterwarnings) must not escape, and a maximum

@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-sys.dont_write_bytecode = True
 KINDS = ("k0", "status", "rows", "verdict", "exit", "other")
 MAXIMA = ("history", "stop_test")
 SEEDS = (201, 202, 7)
@@ -162,6 +161,7 @@ def compare(parent, change):
 def main(argv):
     if len(argv) != 3:
         sys.exit(__doc__.split("\n\n")[1])
+    sys.dont_write_bytecode = True
     parent, change = collect(argv[1]), collect(argv[2])
     print(f"{'part':9}{'items':>8}" + "".join(f"{k:>9}" for k in KINDS)
           + "".join(f"{k:>11}" for k in MAXIMA))
