@@ -28,13 +28,14 @@ membership tests.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
+    as_count,
     as_matrix,
+    as_real,
     as_vector,
     controllability_matrix,
     induced_inf_norm,
@@ -71,6 +72,8 @@ __all__ = [
 DETERMINED = "determined"
 ITERATION_LIMIT = "iteration_limit"
 
+# relative, as stop_tol is: a state is inside when every row product is at
+# most epsilon * (1 + MEMBERSHIP_TOL), so the answer keeps to the output units
 MEMBERSHIP_TOL = 1e-12
 # simulate looks for a state that maps to its own bits once per this many steps
 SETTLE_STRIDE = 64
@@ -119,9 +122,7 @@ class SystemSpec:
         tau0 = as_vector(self.tau0, "tau0")
         if tau0.shape[0] != n:
             raise ValueError(f"tau0 has length {tau0.shape[0]}, expected {n}")
-        eps = float(self.epsilon)
-        if isinstance(self.epsilon, (bool, np.bool_)) or not np.isfinite(eps) or eps <= 0:
-            raise ValueError("epsilon must be a positive finite real")
+        eps = as_real(self.epsilon, "epsilon", 0.0, "a positive finite real", exclusive=True)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -301,7 +302,7 @@ def sensitivity_rows(sys: SystemSpec, a_tilde, horizon: int) -> np.ndarray:
     floating-point range.
     """
     at = _resolve_a_tilde(sys, None, a_tilde)
-    horizon = _count(horizon, "horizon", 0, "nonnegative")
+    horizon = as_count(horizon, "horizon", 0, "nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
         return _output_rows(sys, at, horizon)
 
@@ -352,35 +353,12 @@ def _advance(block: np.ndarray, a_tilde: np.ndarray, step: int) -> np.ndarray:
     )
 
 
-def _count(value, name: str, least: int, bound: str) -> int:
-    """A count argument as an int.  numpy integers pass; a bool or a float,
-    even 2.0, raises :class:`ValueError`, and so does a count below
-    ``least``, as "``name`` must be ``bound``"."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer")
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
-    if value < least:
-        raise ValueError(f"{name} must be {bound}")
-    return value
-
-
-def _check_stop_tol(stop_tol: float) -> None:
-    try:  # a Python float bound, so that an int past the float range compares exactly
-        number = not isinstance(stop_tol, bool) and 0 <= stop_tol <= float(np.finfo(float).max)
-    except TypeError:  # no number at all: a string, None, a list
-        number = False
-    if not number:
-        raise ValueError("stop_tol must be a nonnegative finite number")
-
-
 def _step(band: Band, rows: np.ndarray, stop_tol: float, step: int) -> IterationRecord:
     """One convergence test: the maxima of every signed row of ``rows`` over
-    ``band``, stopped when all are within ``epsilon + stop_tol``.  The band
-    is centrally symmetric, so each row is maximized once and its negation
-    recorded with the same maximum; a failed join stops at constraint 1."""
+    ``band``, stopped when all are within ``epsilon * (1 + stop_tol)``.  The
+    band is centrally symmetric, so each row is maximized once and its
+    negation recorded with the same maximum; a failed join stops at
+    constraint 1."""
     values = []
     try:
         for value in band.maxima(rows):
@@ -388,7 +366,8 @@ def _step(band: Band, rows: np.ndarray, stop_tol: float, step: int) -> Iteration
     except (SimplexBudgetError, OverflowError) as err:
         message = f"LP solver gave up: {err}"
         raise DeterminationError(message, step=step, constraint=len(values) + 1) from err
-    stopped = all(v <= band.epsilon + stop_tol for v in values)
+    bound = band.epsilon * (1.0 + stop_tol)
+    stopped = all(v <= bound for v in values)
     return IterationRecord(step, tuple(values), stopped)
 
 
@@ -404,17 +383,18 @@ def determine(
 
     At each step k the band constraints through step k are held fixed and
     each output row at step k+1 is maximized (by symmetry, so is its
-    negation).  When every maximum is at most ``epsilon + stop_tol`` the
-    truncation has converged: k is the determination index and the stacked
-    rows describe the capacity set exactly.  An unbounded subproblem or a
-    larger maximum advances k.  One :class:`~gaincap.lp.Band` carries the
+    negation).  When every maximum is at most ``epsilon * (1 + stop_tol)``
+    the truncation has converged: k is the determination index and the
+    stacked rows describe the capacity set exactly; the tolerance is
+    relative, so the answer does not change with the units of the outputs.
+    An unbounded subproblem or a larger maximum advances k.  One :class:`~gaincap.lp.Band` carries the
     stack through the search.  After ``max_iter`` steps the status is
     ``"iteration_limit"`` and the accumulated rows describe an outer
     truncation only.
     """
     at = _resolve_a_tilde(sys, gain, a_tilde)
-    max_iter = _count(max_iter, "max_iter", 1, "at least 1")
-    _check_stop_tol(stop_tol)
+    max_iter = as_count(max_iter, "max_iter", 1, "at least 1")
+    stop_tol = as_real(stop_tol, "stop_tol", 0.0, "a nonnegative finite number")
     band = Band(sys.c, sys.epsilon)  # block k joins at step k, once advanced
     blocks = [sys.c]
     history: list[IterationRecord] = []
@@ -446,12 +426,12 @@ def stop_test(
 
     Maximizes each output row at ``objective_step`` over the set's stored
     constraints (its negation has the same maximum by symmetry) and reports
-    whether all signed maxima stay within ``epsilon + stop_tol``, over a
-    band the stored rows join as one block.  For a determined set this must
+    whether all signed maxima stay within ``epsilon * (1 + stop_tol)``, over
+    a band the stored rows join as one block.  For a determined set this must
     pass at every step beyond k0 — the fixpoint, once reached, persists.
     """
-    objective_step = _count(objective_step, "objective_step", 0, "nonnegative")
-    _check_stop_tol(stop_tol)
+    objective_step = as_count(objective_step, "objective_step", 0, "nonnegative")
+    stop_tol = as_real(stop_tol, "stop_tol", 0.0, "a nonnegative finite number")
     # a caller-built set enters here
     rows = as_matrix(_stored_rows(cap), "constraint rows")
     at = _as_a_tilde(cap.a_tilde, rows.shape[1])
@@ -465,7 +445,7 @@ def stop_test(
 def _first_violations(cap: CapacitySet, products: np.ndarray) -> list[Violation | None]:
     """Earliest band constraint broken by each column of ``products``, one
     state's row products each, in one pass over all of them."""
-    broken = np.abs(products) > cap.epsilon + MEMBERSHIP_TOL
+    broken = np.abs(products) > cap.epsilon * (1.0 + MEMBERSHIP_TOL)
     first = broken.argmax(axis=0) if len(broken) else None  # no rows break nothing
     violations = [None] * products.shape[1]
     for col in np.flatnonzero(broken.any(axis=0)).tolist():
@@ -480,16 +460,12 @@ def _first_violations(cap: CapacitySet, products: np.ndarray) -> list[Violation 
 
 
 def _stored_rows(cap: CapacitySet) -> np.ndarray:
-    """A caller's capacity set's rows as a float64 matrix, which unlike
-    :func:`as_matrix` may have no rows or non-finite entries; its epsilon is
-    checked as :class:`~gaincap.lp.Band` checks it, and its output_dim must
-    be a count of at least 1 that divides the number of rows."""
-    if not 0.0 <= float(cap.epsilon) < math.inf:
-        raise ValueError("epsilon must be finite and nonnegative: the origin is the start vertex")
-    rows = np.asarray(cap.constraint_rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError(f"constraint rows must be a 2-D array, got shape {rows.shape}")
-    output_dim = _count(cap.output_dim, "output_dim", 1, "at least 1")
+    """A caller's set's rows as a float64 matrix, which may be empty or hold
+    inf and NaN; its epsilon is checked as :class:`~gaincap.lp.Band` checks
+    it, and its output_dim must be a count of at least 1 dividing the rows."""
+    as_real(cap.epsilon, "epsilon", 0.0, "finite and nonnegative: the origin is the start vertex")
+    rows = as_matrix(cap.constraint_rows, "constraint rows", strict=False)
+    output_dim = as_count(cap.output_dim, "output_dim", 1, "at least 1")
     if rows.shape[0] % output_dim:
         raise ValueError(f"output_dim {output_dim} does not divide the {rows.shape[0]} rows")
     return rows
@@ -570,7 +546,7 @@ def analyze(
     at = _resolve_a_tilde(sys, gain, a_tilde)
     if horizon is None:
         horizon = 4 * sys.n
-    horizon = _count(horizon, "horizon", sys.n, f"at least n = {sys.n}")
+    horizon = as_count(horizon, "horizon", sys.n, f"at least n = {sys.n}")
     with np.errstate(over="ignore", invalid="ignore"):  # one for every product and sum
         if sys.b is not None:
             blocks = controllability_matrix(sys.a, sys.b)
@@ -630,10 +606,8 @@ def simulate(
     beta = as_vector(beta, "beta")
     if beta.shape[0] != sys.n:
         raise ValueError(f"beta has length {beta.shape[0]}, expected {sys.n}")
-    steps = _count(steps, "steps", 0, "nonnegative")
-    alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be a finite number")
+    steps = as_count(steps, "steps", 0, "nonnegative")
+    alpha = as_real(alpha, "alpha")
     if gain is not None and gain.k.shape[1] != sys.n:
         raise ValueError(f"gain has {gain.k.shape[1]} columns, expected {sys.n}")
     states = np.empty((steps + 1, sys.n))
@@ -701,9 +675,9 @@ def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
 
     Returns a boolean array indexed [row, column] = [y index, x index] with
     both axes sampled on ``grid`` evenly spaced points, ranges inclusive.  A
-    cell is inside when ``|r . (x, y)| <= epsilon + MEMBERSHIP_TOL`` for every
-    constraint row r, with the values of one matrix product of the points
-    and the rows.
+    cell is inside when ``|r . (x, y)| <= epsilon * (1 + MEMBERSHIP_TOL)``
+    for every constraint row r, with the values of one matrix product of the
+    points and the rows.
 
     Each raster row is one run of inside cells.  Along a row every value
     ``r0 x + r1 y`` is monotone in x, as the xs are sorted and rounding is
@@ -719,11 +693,11 @@ def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
             "region sampling requires a two-state system, got "
             f"{rows.shape[1]} states"
         )
-    grid = _count(grid, "grid", 2, "at least 2")
-    x_lo, x_hi = (float(x_range[0]), float(x_range[1]))
-    y_lo, y_hi = (float(y_range[0]), float(y_range[1]))
-    if not np.all(np.isfinite([x_lo, x_hi, y_lo, y_hi])):
-        raise ValueError("ranges must have finite bounds")
+    grid = as_count(grid, "grid", 2, "at least 2")
+    (x_lo, x_hi), (y_lo, y_hi) = (
+        [as_real(window[i], f"{name}[{i}]") for i in (0, 1)]
+        for name, window in (("x_range", x_range), ("y_range", y_range))
+    )
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("ranges must be nonempty intervals")
     # a width past the float range would sample inf and NaN, unsorted, xs
@@ -731,7 +705,7 @@ def region_sample(cap: CapacitySet, x_range, y_range, grid: int) -> np.ndarray:
         raise ValueError("ranges must have widths within the floating-point range")
     xs = np.linspace(x_lo, x_hi, grid)
     ys = np.linspace(y_lo, y_hi, grid)
-    bound = cap.epsilon + MEMBERSHIP_TOL
+    bound = cap.epsilon * (1.0 + MEMBERSHIP_TOL)
     first, stop, settled = _row_runs(rows, bound, xs, ys)
     columns = np.arange(grid)
     raster = columns >= first[:, None]

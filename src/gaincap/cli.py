@@ -15,9 +15,9 @@ Problem files are UTF-8 JSON describing one plant, band, and loop::
 
 Either the gain ``K`` or the closed-loop matrix ``A_tilde`` must be present;
 when both are given, ``A + B K`` must match ``A_tilde`` to 1e-9 entrywise.
-``B`` and ``m`` may be omitted when no gain is given.  ``options`` and each
-of its entries are optional (defaults: max_iter 200, stop_tol 1e-9, horizon
-4n).
+``B`` and ``m`` may be omitted when no gain is given.  Numbers are JSON
+numbers.  ``options`` and each of its entries are optional (defaults:
+max_iter 200, stop_tol 1e-9 relative to epsilon, horizon 4n).
 
 Commands: ``determine``, ``check-gain``, ``analyze``, ``region``,
 ``simulate``.  Exit codes: 0 success (admissible for check-gain), 1 usage or
@@ -51,6 +51,7 @@ from .capacity import (
     region_sample,
     simulate,
 )
+from .linalg import as_count, as_matrix, as_real, as_vector
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -125,44 +126,11 @@ def _require(data: dict, key: str):
     return data[key]
 
 
-def _as_int(value, key: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"field '{key}' must be an integer")
-    return value
-
-
-def _floats(data, key: str, kind: str) -> np.ndarray:
-    try:
-        return np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise InputError(f"field '{key}' is not a numeric {kind}: {err}") from None
-
-
 def _matrix(data, key: str, rows: int, cols: int) -> np.ndarray:
-    m = _floats(data, key, "matrix")
-    if m.ndim != 2 or m.shape != (rows, cols):
-        raise InputError(
-            f"field '{key}' must be a {rows}x{cols} matrix of row arrays"
-        )
-    if not np.all(np.isfinite(m)):
-        raise InputError(f"field '{key}' contains non-finite entries")
+    m = as_matrix(data, f"field '{key}'")
+    if m.shape != (rows, cols):
+        raise InputError(f"field '{key}' must be a {rows}x{cols} matrix of row arrays")
     return m
-
-
-def _max_iter(value: int, name: str) -> int:
-    if value < 1:
-        raise InputError(f"{name} must be at least 1")
-    return value
-
-
-def _stop_tol(value, name: str) -> float:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not 0 <= value <= sys.float_info.max
-    ):
-        raise InputError(f"{name} must be a nonnegative finite number")
-    return float(value)
 
 
 KNOWN_FIELDS = {"n", "m", "p", "A", "B", "C", "K", "A_tilde", "tau0", "epsilon", "options"}
@@ -170,17 +138,23 @@ KNOWN_OPTIONS = {"max_iter", "stop_tol", "horizon"}
 
 
 def parse_problem(data: dict) -> Problem:
-    """Validate a decoded problem-file dictionary."""
+    """Validate a decoded problem-file dictionary; every refusal is an
+    :class:`InputError`."""
+    try:
+        return _parse(data)
+    except ValueError as err:  # the checkers of linalg and capacity raise ValueError
+        raise InputError(str(err)) from None
+
+
+def _parse(data: dict) -> Problem:
     if not isinstance(data, dict):
         raise InputError("problem file must contain a JSON object")
     unknown = set(data) - KNOWN_FIELDS
     if unknown:
         raise InputError(f"unknown field(s): {', '.join(sorted(unknown))}")
 
-    n = _as_int(_require(data, "n"), "n")
-    p = _as_int(_require(data, "p"), "p")
-    if n < 1 or p < 1:
-        raise InputError("fields 'n' and 'p' must be positive")
+    n = as_count(_require(data, "n"), "field 'n'", 1, "positive")
+    p = as_count(_require(data, "p"), "field 'p'", 1, "positive")
 
     a = _matrix(_require(data, "A"), "A", n, n)
     c = _matrix(_require(data, "C"), "C", p, n)
@@ -190,22 +164,17 @@ def parse_problem(data: dict) -> Problem:
     if data.get("B") is not None:
         if "m" not in data:
             raise InputError("field 'm' is required when 'B' is present")
-        m = _as_int(data["m"], "m")
-        if m < 1:
-            raise InputError("field 'm' must be positive")
+        m = as_count(data["m"], "field 'm'", 1, "positive")
         b = _matrix(data["B"], "B", n, m)
     elif data.get("m") is not None:
         raise InputError("field 'm' is given but 'B' is missing")
 
-    tau0 = _floats(_require(data, "tau0"), "tau0", "array")
-    if tau0.ndim != 1 or tau0.shape[0] != n:
+    tau0 = as_vector(_require(data, "tau0"), "field 'tau0'")
+    if tau0.shape[0] != n:
         raise InputError(f"field 'tau0' must be a flat array of length {n}")
 
     epsilon = _require(data, "epsilon")
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-        raise InputError("field 'epsilon' must be a number")
-    if not 0 < epsilon <= sys.float_info.max:
-        raise InputError("field 'epsilon' must be a positive finite number")
+    epsilon = as_real(epsilon, "field 'epsilon'", 0.0, "a positive finite number", exclusive=True)
 
     gain = None
     if data.get("K") is not None:
@@ -220,10 +189,7 @@ def parse_problem(data: dict) -> Problem:
     if gain is None and a_tilde is None:
         raise InputError("one of 'K' or 'A_tilde' is required")
 
-    try:
-        system = SystemSpec(a, b, c, tau0, float(epsilon))
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    system = SystemSpec(a, b, c, tau0, epsilon)
 
     if gain is not None and a_tilde is not None:
         gap = float(np.max(np.abs(closed_loop(system, gain) - a_tilde)))
@@ -239,12 +205,10 @@ def parse_problem(data: dict) -> Problem:
     unknown = set(raw_opts) - KNOWN_OPTIONS
     if unknown:
         raise InputError(f"unknown option(s): {', '.join(sorted(unknown))}")
-    max_iter = _as_int(raw_opts.get("max_iter", 200), "options.max_iter")
-    max_iter = _max_iter(max_iter, "option 'max_iter'")
-    stop_tol = _stop_tol(raw_opts.get("stop_tol", 1e-9), "option 'stop_tol'")
-    horizon = _as_int(raw_opts.get("horizon", 4 * n), "options.horizon")
-    if horizon < n:
-        raise InputError(f"option 'horizon' must be at least n = {n}")
+    max_iter = as_count(raw_opts.get("max_iter", 200), "option 'max_iter'", 1, "at least 1")
+    stop_tol = raw_opts.get("stop_tol", 1e-9)
+    stop_tol = as_real(stop_tol, "option 'stop_tol'", 0.0, "a nonnegative finite number")
+    horizon = as_count(raw_opts.get("horizon", 4 * n), "option 'horizon'", n, f"at least n = {n}")
 
     return Problem(
         system=system,
@@ -305,9 +269,9 @@ def _limits(problem: Problem, args) -> dict:
     """The file's max_iter and stop_tol, overridden by --max-iter/--stop-tol."""
     limits = {"max_iter": problem.options.max_iter, "stop_tol": problem.options.stop_tol}
     if args.max_iter is not None:
-        limits["max_iter"] = _max_iter(args.max_iter, "--max-iter")
+        limits["max_iter"] = as_count(args.max_iter, "--max-iter", 1, "at least 1")
     if args.stop_tol is not None:
-        limits["stop_tol"] = _stop_tol(args.stop_tol, "--stop-tol")
+        limits["stop_tol"] = as_real(args.stop_tol, "--stop-tol", 0.0, "a nonnegative finite number")
     return limits
 
 
@@ -478,14 +442,12 @@ def cmd_region(args) -> int:
         raise InputError(
             f"region rendering requires a two-state system, file has n = {problem.system.n}"
         )
-    if args.grid < 2:
-        raise InputError("--grid must be at least 2")
-    if not all(map(math.isfinite, (args.xmin, args.xmax, args.ymin, args.ymax))):
-        raise InputError("--xmin, --xmax, --ymin and --ymax must be finite numbers")
+    # the window is checked before the search; region_sample checks its widths
+    as_count(args.grid, "--grid", 2, "at least 2")
+    for flag in ("xmin", "xmax", "ymin", "ymax"):
+        as_real(getattr(args, flag), f"--{flag}")
     if not (args.xmin < args.xmax) or not (args.ymin < args.ymax):
         raise InputError("ranges must satisfy xmin < xmax and ymin < ymax")
-    if not (math.isfinite(args.xmax - args.xmin) and math.isfinite(args.ymax - args.ymin)):
-        raise InputError("xmax - xmin and ymax - ymin must be within the floating-point range")
     cap = determine(problem.system, **_loop(problem), **_limits(problem, args))
     raster = region_sample(cap, (args.xmin, args.xmax), (args.ymin, args.ymax), args.grid)
     xs = np.linspace(args.xmin, args.xmax, args.grid)
@@ -525,13 +487,10 @@ def cmd_simulate(args) -> int:
         beta = [float(part) for part in args.beta.split(",")] if args.beta else []
     except ValueError:
         raise InputError(f"--beta must be comma-separated numbers, got '{args.beta}'")
-    if not all(map(math.isfinite, [args.alpha, *beta])):
-        raise InputError("--alpha and --beta must be finite numbers")
     n = problem.system.n
     if len(beta) != n:
         raise InputError(f"--beta must have {n} components, got {len(beta)}")
-    if args.steps < 0:
-        raise InputError("--steps must be nonnegative")
+    # simulate checks alpha, beta and steps
     traj = simulate(
         problem.system, **_loop(problem), alpha=args.alpha, beta=beta, steps=args.steps
     )
@@ -587,7 +546,8 @@ def _add_command(commands, name: str, func, summary: str, *, limits: bool):
             "--max-iter", type=int, default=None, help="override the file's iteration cap"
         )
         sub.add_argument(
-            "--stop-tol", type=float, default=None, help="override the file's stop tolerance"
+            "--stop-tol", type=float, default=None,
+            help="override the file's stop tolerance, relative to epsilon",
         )
     sub.set_defaults(func=func)
     return sub
@@ -637,7 +597,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OverflowError) as err:
+    except (ValueError, OverflowError) as err:  # a bad file or flag raises ValueError
         print(f"gaincap: error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except DeterminationError as err:

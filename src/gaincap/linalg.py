@@ -1,16 +1,25 @@
 """Dense linear algebra for desk-scale control computations.
 
-:func:`as_matrix` and :func:`as_vector` are the only validators: each
-outside input is checked once, where it enters ``gaincap``.  The other
-helpers trust their input, float64 arrays with finite entries and the
+Four checkers hold every argument rule of ``gaincap``: :func:`as_count`
+for a count, :func:`as_real` for a real number in a range, and
+:func:`as_matrix` and :func:`as_vector` for arrays of finite reals.  Each
+outside input is checked once, where it enters, and no other module checks
+a count or a number itself; each refusal is a :class:`ValueError`.  The
+other helpers trust their input, float64 arrays with finite entries and the
 shapes they name, and check nothing again.  All functions are pure.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
+import sys
+
 import numpy as np
 
 __all__ = [
+    "as_count",
+    "as_real",
     "as_matrix",
     "as_vector",
     "rank",
@@ -21,28 +30,82 @@ __all__ = [
 
 # rank counts singular values above this fraction of the largest entry
 RANK_TOL = 1e-9
+FLOAT_MAX = sys.float_info.max
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Validate and return a read-only 2-D float64 array."""
-    m = np.array(values, dtype=float)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-D array, got shape {m.shape}")
-    if not np.isfinite(m).all():
+def as_count(value, name: str, least: int, bound: str) -> int:
+    """A count argument as an int.  numpy integers pass; a bool or a float,
+    even 2.0, raises :class:`ValueError`, and so does a count below
+    ``least``, as "``name`` must be ``bound``"."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < least:
+        raise ValueError(f"{name} must be {bound}")
+    return value
+
+
+def as_real(
+    value, name: str, least: float = -FLOAT_MAX, bound: str = "a finite number", *,
+    exclusive: bool = False,
+) -> float:
+    """A real-number argument as a float in ``[least, FLOAT_MAX]``, or in
+    ``(least, FLOAT_MAX]`` when ``exclusive``.  numpy numbers pass; a bool,
+    a string or any other non-number raises :class:`ValueError`, and so
+    does a value out of range or NaN, as "``name`` must be ``bound``".  The
+    range is compared before the value is converted, so an int past the
+    float range is refused rather than overflowing."""
+    if isinstance(value, np.generic):  # so that a float32 compares without a cast
+        value = value.item()
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (least < value if exclusive else least <= value)
+        or not value <= FLOAT_MAX
+    ):
+        raise ValueError(f"{name} must be {bound}")
+    return float(value)
+
+
+def _array(values, name: str, ndim: int, strict: bool) -> np.ndarray:
+    """``values`` as a new read-only float64 array of ``ndim`` dimensions,
+    nonempty and finite when ``strict``.  Raises :class:`ValueError` for an
+    entry that is no real number (a string, a dict, None, a complex value),
+    for ragged nesting and for an int past the float range."""
+    try:
+        a = np.array(values)
+        kind = a.dtype.kind
+        real = kind in "biuf" or kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat)
+    except (TypeError, ValueError):  # ragged nesting
+        real = False
+    if not real:
+        raise ValueError(f"{name} must be an array of real numbers")
+    try:
+        a = a.astype(float, copy=False)
+    except OverflowError:  # Python ints past int64 arrive as objects
+        raise ValueError(f"{name} contains non-finite entries") from None
+    if a.ndim != ndim or (strict and a.size == 0):
+        shape = f"a nonempty {ndim}-D array" if strict else f"a {ndim}-D array"
+        raise ValueError(f"{name} must be {shape}, got shape {a.shape}")
+    if strict and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
-    m.setflags(write=False)
-    return m
+    a.setflags(write=False)
+    return a
+
+
+def as_matrix(values, name: str = "matrix", *, strict: bool = True) -> np.ndarray:
+    """Validate and return a read-only 2-D float64 array, nonempty and
+    finite.  ``strict=False`` keeps only the rules of kind and dimension:
+    the matrix may have no entries, or inf and NaN ones."""
+    return _array(values, name, 2, strict)
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Validate and return a read-only 1-D float64 array."""
-    v = np.array(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-D array, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    v.setflags(write=False)
-    return v
+    """Validate and return a read-only nonempty 1-D float64 array of finite reals."""
+    return _array(values, name, 1, True)
 
 
 def rank(m: np.ndarray) -> int:

@@ -65,6 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_real
+
 __all__ = ["OPTIMAL", "UNBOUNDED", "Band", "LpOutcome", "SimplexBudgetError", "equilibrate",
            "maximize"]
 
@@ -131,9 +133,8 @@ class Band:
     """
 
     def __init__(self, s: np.ndarray, epsilon: float):
-        self.epsilon = float(epsilon)
-        if not 0.0 <= self.epsilon < np.inf:
-            raise ValueError("epsilon must be finite and nonnegative: the origin is the start vertex")
+        rule = "finite and nonnegative: the origin is the start vertex"
+        self.epsilon = as_real(epsilon, "epsilon", 0.0, rule)
         s = np.asarray(s, dtype=float)
         n = s.shape[1]
         self.size = self.rank = self._spanned = 0  # _spanned rows have entered the basis

@@ -27,6 +27,7 @@ from gaincap.capacity import (
     DETERMINED,
     ITERATION_LIMIT,
     SystemSpec,
+    check_gain,
     closed_loop,
     determine,
     membership,
@@ -496,6 +497,36 @@ def test_criterion_10_scaling_invariance():
             assert (
                 membership(cap, x).member == membership(doubled, 2.0 * x).member
             ), f"scaling mismatch at {x}"
+
+
+def verdict(name: str, scale: float) -> tuple:
+    """``k0``, status and the check-gain verdict of a fixture whose ``C`` and
+    ``epsilon`` are both scaled by ``scale``; steps and constraints, not
+    magnitudes, which scale with the outputs."""
+    problem, _ = capacity(name)
+    sys_, opts = problem.system, problem.options
+    scaled = SystemSpec(sys_.a, sys_.b, scale * sys_.c, sys_.tau0, scale * sys_.epsilon)
+    loop = {"gain": problem.gain} if problem.gain is not None else {"a_tilde": problem.a_tilde}
+    report = check_gain(scaled, **loop, max_iter=opts.max_iter, stop_tol=opts.stop_tol)
+    alpha = report.alpha_violation
+    return (
+        report.capacity.k0,
+        report.capacity.status,
+        report.admissible,
+        None if alpha is None else (alpha.step, alpha.constraint),
+        [(bv.index, bv.first_violation_step) for bv in report.beta_violations],
+    )
+
+
+def test_output_units_leave_k0_and_verdicts_unchanged():
+    # scaling C and epsilon by the same factor leaves the capacity set as it
+    # is, so the tolerances of the stop test and of membership are relative
+    for name in ALL_FIXTURES:
+        if name == "ex9":  # it runs to its iteration limit, slower than the rest together
+            continue
+        unscaled = verdict(name, 1.0)
+        for scale in (1e-15, 1e-12, 1e-9, 1e-6, 1e6, 1e12):
+            assert verdict(name, scale) == unscaled, f"{name} at scale {scale:g}"
 
 
 # ------------------------------------------------------------ exact oracle

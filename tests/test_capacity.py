@@ -455,7 +455,7 @@ def test_check_gain_matches_membership():
 def first_violation_by_scan(cap, x):
     """The first entry of ``rows @ x`` beyond the band, scanned in order."""
     for i, value in enumerate(cap.constraint_rows @ x):
-        if abs(value) > cap.epsilon + gaincap.capacity.MEMBERSHIP_TOL:
+        if abs(value) > cap.epsilon * (1.0 + gaincap.capacity.MEMBERSHIP_TOL):
             step, j = divmod(i, cap.output_dim)
             return Violation(step, 2 * j + 1 if value > 0 else 2 * j + 2, float(abs(value)))
     return None
@@ -466,7 +466,7 @@ def test_check_gain_first_violations_match_membership():
     # pass; each is membership's, and a scan's, for that state: on
     # determined and iteration-limited sets, with a zero output row, with
     # first violations on negative products, and with products planted
-    # exactly at epsilon + MEMBERSHIP_TOL, which stay inside; a caller-built
+    # exactly at epsilon * (1 + MEMBERSHIP_TOL), which stay inside; a caller-built
     # set without rows breaks nothing
     rng = np.random.default_rng(41)
     seen = set()
@@ -479,9 +479,9 @@ def test_check_gain_first_violations_match_membership():
         if trial % 3 == 1:
             c[-1] = 0.0
         elif trial % 3 == 2:
-            # row 0 at step 0 maps tau0 and e_2 to exactly epsilon + tol
+            # row 0 at step 0 maps tau0 and e_2 to exactly epsilon * (1 + tol)
             c[0] = 0.0
-            c[0, 0], c[0, 1] = 1.0, epsilon + gaincap.capacity.MEMBERSHIP_TOL
+            c[0, 0], c[0, 1] = 1.0, epsilon * (1.0 + gaincap.capacity.MEMBERSHIP_TOL)
             tau0[:2] = c[0, 1], 0.0
         sys_ = SystemSpec(a_tilde, None, c, tau0, epsilon)
         report = check_gain(sys_, a_tilde=a_tilde, max_iter=int(rng.choice([1, 2, 3, 200])))
@@ -1076,6 +1076,61 @@ def test_stop_test_rejects_negative_band():
             for objective_step in (0, 2):
                 with pytest.raises(ValueError, match="constraint rows"):
                     stop_test(dataclasses.replace(cap, constraint_rows=rows), objective_step)
+
+
+NON_NUMBERS = ("1.0", None, [1], True, np.True_, 10**400)
+NON_MATRICES = ([["1", "0"], ["0", "1"]], [[{}, 0.0], [0.0, 1.0]], [[10**400, 0.0], [0.0, 1.0]],
+                [[1j, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0]])
+NON_VECTORS = (["0.3", "0.5"], [{}, 0.5], [10**400, 0.5], [1j, 0.5], [0.3, [0.5]])
+
+
+def test_plant_data_refuses_non_numbers_with_value_error():
+    # a string used to pass as the number it spells, None or a list raised
+    # TypeError and an int past the float range OverflowError
+    sys_ = two_state()
+    cap = determine(sys_, two_state_gain())
+    for bad in NON_NUMBERS:
+        with pytest.raises(ValueError, match="^epsilon must be a positive finite real$"):
+            SystemSpec(sys_.a, sys_.b, sys_.c, sys_.tau0, bad)
+        with pytest.raises(ValueError, match="^alpha must be a finite number$"):
+            simulate(sys_, two_state_gain(), alpha=bad, beta=[0.0, 0.0], steps=2)
+    for bad in NON_MATRICES:
+        for field in ("a", "b", "c"):
+            with pytest.raises(ValueError, match=f"^{field} "):
+                SystemSpec(**{**dataclasses.asdict(sys_), field: bad})
+        with pytest.raises(ValueError, match="^k "):
+            Gain(bad)
+    for bad in NON_VECTORS:
+        with pytest.raises(ValueError, match="^tau0 "):
+            SystemSpec(sys_.a, sys_.b, sys_.c, bad, 1.0)
+        with pytest.raises(ValueError, match="^beta "):
+            simulate(sys_, two_state_gain(), alpha=1.0, beta=bad, steps=2)
+        with pytest.raises(ValueError, match="^x "):
+            membership(cap, bad)
+
+
+def test_caller_arguments_refuse_non_numbers_with_value_error():
+    # region bounds went through float(), so ("-1", "1") was a window; a
+    # caller-built set's epsilon and rows are checked as plant data is
+    cap = determine(two_state(), two_state_gain())
+    for bad in NON_NUMBERS:
+        with pytest.raises(ValueError, match="^x_range\\[0\\] must be a finite number$"):
+            region_sample(cap, (bad, 1.0), (-1.0, 1.0), 5)
+        with pytest.raises(ValueError, match="^y_range\\[1\\] must be a finite number$"):
+            region_sample(cap, (-1.0, 1.0), (-1.0, bad), 5)
+        with pytest.raises(ValueError, match="^stop_tol must be a nonnegative finite number$"):
+            determine(two_state(), two_state_gain(), stop_tol=bad)
+        bad_set = dataclasses.replace(cap, epsilon=bad)
+        for call in (lambda: membership(bad_set, [0.3, 0.5]), lambda: stop_test(bad_set, 1),
+                     lambda: region_sample(bad_set, (-1.0, 1.0), (-1.0, 1.0), 5)):
+            with pytest.raises(ValueError, match="origin is the start vertex"):
+                call()
+    for bad in NON_MATRICES:
+        bad_set = dataclasses.replace(cap, constraint_rows=bad)
+        for call in (lambda: membership(bad_set, [0.3, 0.5]), lambda: stop_test(bad_set, 1),
+                     lambda: region_sample(bad_set, (-1.0, 1.0), (-1.0, 1.0), 5)):
+            with pytest.raises(ValueError, match="^constraint rows "):
+                call()
 
 
 def test_membership_and_region_refuse_a_bad_epsilon():

@@ -145,6 +145,60 @@ def test_defaults_applied():
     assert problem.options.horizon == 12  # 4n
 
 
+
+def test_problem_file_numbers_must_be_json_numbers():
+    # a string used to pass as the number it spells in an array, and None or
+    # a list in place of a number escaped as TypeError
+    cases = [
+        ("tau0", ["0.3", "0.5"], "field 'tau0' must be an array of real numbers"),
+        ("tau0", [{}, 0.5], "field 'tau0' must be an array of real numbers"),
+        ("A", [["0.9", 0.0], [0.6, 0.3]], "field 'A' must be an array of real numbers"),
+        ("A", [[0.9, 0.0], [0.6]], "field 'A' must be an array of real numbers"),
+        ("K", [[10**400, 0.16], [0.24, 0.12]], "field 'K' contains non-finite entries"),
+        ("epsilon", "1.4", "field 'epsilon' must be a positive finite number"),
+        ("epsilon", None, "field 'epsilon' must be a positive finite number"),
+        ("epsilon", [1.4], "field 'epsilon' must be a positive finite number"),
+        ("n", "2", "field 'n' must be an integer"),
+        ("n", 0, "field 'n' must be positive"),
+        ("p", 0, "field 'p' must be positive"),
+        ("m", 2.0, "field 'm' must be an integer"),
+        ("options", {"stop_tol": "1e-9"}, "option 'stop_tol' must be a nonnegative finite number"),
+        ("options", {"horizon": None}, "option 'horizon' must be an integer"),
+        ("options", {"max_iter": [5]}, "option 'max_iter' must be an integer"),
+    ]
+    for key, value, message in cases:
+        data = load_fixture_dict("ex1")
+        data[key] = value
+        with pytest.raises(InputError, match=f"^{message}$"):
+            parse_problem(data)
+
+
+def test_bad_file_or_flag_exits_1_without_traceback(tmp_path, capsys):
+    data = load_fixture_dict("ex1")
+    data["tau0"] = ["0.3", "0.5"]
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    window = ["--xmin=-2", "--xmax=2", "--ymin=-2", "--ymax=2"]
+    for argv, message in (
+        (["check-gain", str(path)], "field 'tau0' must be an array of real numbers"),
+        (["determine", fixture("ex1"), "--stop-tol", "nan"],
+         "--stop-tol must be a nonnegative finite number"),
+        (["determine", fixture("ex1"), "--max-iter", "0"], "--max-iter must be at least 1"),
+        (["region", fixture("ex1"), *window, "--grid", "1"], "--grid must be at least 2"),
+        (["region", fixture("ex1"), "--xmin=nan", "--xmax=2", "--ymin=-2", "--ymax=2",
+          "--grid", "3"], "--xmin must be a finite number"),
+        (["simulate", fixture("ex1"), "--alpha=inf", "--beta=0,0", "--steps", "2"],
+         "alpha must be a finite number"),
+        (["simulate", fixture("ex1"), "--alpha=1", "--beta=0,nan", "--steps", "2"],
+         "beta contains non-finite entries"),
+        (["simulate", fixture("ex1"), "--alpha=1", "--beta=0,0", "--steps", "-1"],
+         "steps must be nonnegative"),
+    ):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gaincap: error: {message}\n"
+
 # ---------------------------------------------------------------- determine
 
 

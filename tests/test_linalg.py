@@ -1,8 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from gaincap.linalg import (
+    as_count,
     as_matrix,
+    as_real,
     as_vector,
     controllability_matrix,
     induced_inf_norm,
@@ -31,6 +36,63 @@ def test_as_vector():
     assert v.shape == (2,)
     with pytest.raises(ValueError, match="start"):
         as_vector([[0.3], [0.5]], "start")
+
+
+def test_as_count():
+    assert as_count(3, "k", 1, "at least 1") == 3
+    assert type(as_count(np.int64(3), "k", 1, "at least 1")) is int
+    for bad in (True, np.True_, 3.0, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            as_count(bad, "k", 1, "at least 1")
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        as_count(0, "k", 1, "at least 1")
+
+
+def test_as_real():
+    for good in (0.5, 2, np.float64(0.5), np.int64(2), np.float32(0.5), Fraction(1, 2)):
+        assert as_real(good, "x") == float(good)
+        assert type(as_real(good, "x")) is float
+    assert as_real(-1.7e308, "x") == -1.7e308
+    # a bool, a string and other non-numbers; NaN and values past the float
+    # range, an int past it included, which is compared, not converted
+    for bad in (True, np.True_, "1.0", None, [1], 1j, np.array([1.0]), math.nan, math.inf,
+                -math.inf, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match="^x must be a finite number$"):
+            as_real(bad, "x")
+    assert as_real(0, "tol", 0.0) == 0.0
+    with pytest.raises(ValueError, match="tol must be positive"):
+        as_real(0, "tol", 0.0, "positive", exclusive=True)
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        as_real(-1e-300, "tol", 0.0, "nonnegative")
+
+
+def test_as_matrix_and_as_vector_refuse_non_numbers():
+    # numpy would read strings as numbers and raise TypeError or
+    # OverflowError on the rest; each is one ValueError naming the argument
+    for bad in ([["1", "2"]], [[1.0, "2"]], [[{}, 1.0]], [[None, 1.0]], [[1j, 1.0]],
+                [[1.0, 2.0], [3.0]], [["a"]]):
+        with pytest.raises(ValueError, match="^gains must be an array of real numbers$"):
+            as_matrix(bad, "gains")
+        with pytest.raises(ValueError, match="^start must be an array of real numbers$"):
+            as_vector(bad[0] if len(bad) == 1 else [1.0, [2.0]], "start")
+    for bad in ([[10**400, 1]], [[-(10**400), 1]]):
+        with pytest.raises(ValueError, match="^gains contains non-finite entries$"):
+            as_matrix(bad, "gains")
+        with pytest.raises(ValueError, match="^start contains non-finite entries$"):
+            as_vector(bad[0], "start")
+    # ints past int64 but within the float range are numbers
+    assert as_matrix([[2**64, -1]]).tolist() == [[2.0**64, -1.0]]
+    assert as_vector([Fraction(1, 4), np.float32(0.5), 2]).tolist() == [0.25, 0.5, 2.0]
+
+
+def test_as_matrix_loose_keeps_kind_and_dimension():
+    loose = as_matrix(np.zeros((0, 2)), "rows", strict=False)
+    assert loose.shape == (0, 2) and not loose.flags.writeable
+    assert np.isnan(as_matrix([[math.nan, 1.0]], "rows", strict=False)[0, 0])
+    with pytest.raises(ValueError, match="^rows must be a 2-D array, got shape \\(2,\\)$"):
+        as_matrix([1.0, 2.0], "rows", strict=False)
+    with pytest.raises(ValueError, match="^rows must be an array of real numbers$"):
+        as_matrix([["1", "2"]], "rows", strict=False)
 
 
 def test_rank_frozen_cases():

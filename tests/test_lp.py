@@ -30,8 +30,9 @@ BOX_H = [1, 1, 1, 1]
 
 
 def test_problem_validation():
-    # the band bound must be a finite epsilon >= 0, so the origin is feasible
-    for epsilon in (-1.0, np.nan, np.inf):
+    # the band bound must be a finite epsilon >= 0, so the origin is feasible;
+    # a string, None, a bool or an int past the float range is no bound
+    for epsilon in (-1.0, np.nan, np.inf, "1.0", None, True, 10**400):
         with pytest.raises(ValueError, match="origin is the start vertex"):
             maximize(np.ones(1), np.ones((1, 1)), epsilon)
 

@@ -2,11 +2,12 @@
 
     python3 tools/verdict_diff.py PARENT CHANGE
 
-Runs the parts of ``tools/verdict_hash.py`` on each checkout in turn:
-``determine`` on ex1-ex10 and ``stop_test`` at steps 1-3, and every result of
-the ladder, sweep and cli workloads at seeds 201, 202 and 7.  ex9, whose rows
-grow to 1e59, is its own part.  Per part it prints the results compared and
-the mismatches of each kind:
+Collects the same parts from each checkout in turn: ``determine`` on
+ex1-ex10 (each capacity set with its history) and ``stop_test`` at steps
+1-3, and every result of the ladder, sweep and cli workloads at seeds 201,
+202 and 7 (each report with its capacity set, each cli exit code and
+stdout).  ex9, whose rows grow to 1e59, is its own part.  Per part it
+prints the results compared and the mismatches of each kind:
 
 - ``k0``, ``status``, ``rows`` (``constraint_rows`` bytes) of every capacity set;
 - ``verdict``: each ``check_gain`` report less its set, and each
@@ -17,8 +18,9 @@ the mismatches of each kind:
 
 and the largest relative difference of any history maximum and of any
 ``stop_test`` maximum, inf where one side is unbounded and the other is
-not.  It exits 1 on any mismatch.  gaincap and the workloads are imported
-from each checkout, and no bytecode is written.
+not.  It exits 1 on any mismatch; no mismatch and both largest differences
+0 mean every result is bit-identical.  gaincap and the workloads are
+imported from each checkout, and no bytecode is written.
 """
 
 import dataclasses
