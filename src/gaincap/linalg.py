@@ -36,7 +36,8 @@ FLOAT_MAX = sys.float_info.max
 def as_count(value, name: str, least: int, bound: str) -> int:
     """A count argument as an int.  numpy integers pass; a bool or a float,
     even 2.0, raises :class:`ValueError`, and so does a count below
-    ``least``, as "``name`` must be ``bound``"."""
+    ``least``, as "``name`` must be ``bound``", or past ``sys.maxsize``, the
+    largest size numpy can index."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer")
     try:
@@ -45,6 +46,8 @@ def as_count(value, name: str, least: int, bound: str) -> int:
         raise ValueError(f"{name} must be an integer") from None
     if value < least:
         raise ValueError(f"{name} must be {bound}")
+    if value > sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize}")
     return value
 
 
@@ -73,12 +76,16 @@ def as_real(
 def _array(values, name: str, ndim: int, strict: bool) -> np.ndarray:
     """``values`` as a new read-only float64 array of ``ndim`` dimensions,
     nonempty and finite when ``strict``.  Raises :class:`ValueError` for an
-    entry that is no real number (a string, a dict, None, a complex value),
-    for ragged nesting and for an int past the float range."""
+    entry that is no real number (a bool, a string, a dict, None, a complex
+    value), for ragged nesting and for an int past the float range.  Nested
+    lists are read entry by entry, as numpy would turn ``[True, 1]`` into
+    ints."""
     try:
-        a = np.array(values)
+        a = np.array(values, dtype=None if isinstance(values, np.ndarray) else object)
         kind = a.dtype.kind
-        real = kind in "biuf" or kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat)
+        real = kind in "iuf" or kind == "O" and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in a.flat
+        )
     except (TypeError, ValueError):  # ragged nesting
         real = False
     if not real:

@@ -13,7 +13,12 @@ the tableau well-conditioned when rows span many orders of magnitude.  The
 LPs over one stack copy one shared tableau body.  While the stack has rank
 below n the band is a cylinder: it grows an orthonormal basis of the row
 space by Gram-Schmidt, with no SVD, and answers a row clearly outside that
-space as unbounded (inf) without a simplex.
+space as unbounded (inf) without a simplex.  A band of exactly n rows at
+rank n (a search's step n/p - 1 when p divides n) is a parallelepiped and
+needs no simplex either: with ``z = G x`` its LP is ``max y . z`` over the
+box ``|z| <= h``, ``y = c G^-1``, whose maximum is the vertex ``z = h``
+with the signs of ``y`` (either sign where ``y`` is 0).  One inverse of
+``G`` serves all LPs over the band, each reported with 0 pivots.
 
 The LPs of one block share one tableau.  The first starts at the origin;
 each later one starts from the vertex the one before it left, which is
@@ -140,7 +145,7 @@ class Band:
         self.size = self.rank = self._spanned = 0  # _spanned rows have entered the basis
         self._upper = np.empty((2 * n, 2 * n + 1))  # [rows | -rows | bounds], doubled when full
         self._basis = np.empty((n, n))  # the first `rank` rows span the row space
-        self._body = self._block = None  # _block: the tableau a block's LPs share
+        self._body = self._block = self._inverse = None  # _block: the tableau a block's LPs share
         self._joining = equilibrate(s)  # joins before the next rank test or LP
 
     def extend(self, scaled: np.ndarray, scale: np.ndarray) -> None:
@@ -201,8 +206,18 @@ class Band:
         ``unbounded``.  Raises :class:`OverflowError` when the maximum has
         no float value.  While :meth:`maxima` answers a block it starts
         from the vertex the block's previous LP left, and otherwise from
-        the origin."""
+        the origin.  Once :meth:`unbounded` has found rank n for a band of
+        exactly n rows ``G`` (as :meth:`maxima` does before its LPs), the
+        maximizer is ``G^-1 copysign(h, scaled G^-1)`` in closed form, with
+        0 pivots, from one inverse of ``G`` that serves all its LPs."""
         self._join()
+        n = objective.shape[0]
+        if self.size == self.rank == n:  # a parallelepiped: its vertex in closed form
+            if self._inverse is None:  # G^-1; once rows join, the band is square no more
+                self._inverse = np.linalg.inv(self._upper[:n, :n])
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = self._inverse @ np.copysign(self._upper[:n, -1], scaled @ self._inverse)
+            return _optimum(objective, x, 0)
         if self._body is None:  # [G | -G | h], shared until the next extend
             upper = self._upper[: self.size]
             self._body = np.concatenate([upper, -upper])
@@ -332,8 +347,14 @@ def _solve(
     x = x_split[:n] - x_split[n : 2 * n]
     if mirrored:  # the maximum of -c: the band is centrally symmetric
         np.negative(x, out=x)
+    return _optimum(c, x, pivots)
+
+
+def _optimum(c: np.ndarray, x: np.ndarray, pivots: int) -> LpOutcome:
+    """The optimal outcome at the maximizer ``x``, read-only, valued as
+    ``c . x`` on the caller's row.  Raises :class:`OverflowError`, without a
+    numpy warning, when that value has no float value."""
     x.setflags(write=False)
-    # a maximum past the float range raises, not warns
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(c @ x)
     if not math.isfinite(value):

@@ -940,21 +940,32 @@ def test_rank_test_matches_the_primal():
 
 
 def test_determination_calls_no_linalg_routine(monkeypatch):
-    # the band grows its row space by Gram-Schmidt: no SVD, QR or rank
-    # routine runs in determine, stop_test or check_gain, below full rank
-    # or at it
+    # the band grows its row space by Gram-Schmidt: no SVD, QR, rank,
+    # eigenvalue or least-squares routine runs in determine, stop_test or
+    # check_gain, below full rank or at it.  The one routine let through is
+    # the inverse of a square band of n rows at rank n, once per band
     systems = list(rank_test_loops(31, 8))
+    inverted = []
 
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg was called")
 
+    def counted_inv(g, _inv=np.linalg.inv):
+        assert g.ndim == 2 and g.shape[0] == g.shape[1], g.shape
+        inverted.append(g.shape)
+        return _inv(g)
+
     for name in np.linalg.__all__:
         if not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     for sys_ in systems:
         cap = determine(sys_, a_tilde=sys_.a, max_iter=30)
         stop_test(cap, len(cap.history))
         check_gain(sys_, a_tilde=sys_.a, max_iter=30)
+    # determine, stop_test and check_gain each carry one band, square at
+    # one step at most, and some of these loops reach it
+    assert 0 < len(inverted) <= 3 * len(systems)
 
 
 def test_inputs_are_checked_once_where_they_enter(monkeypatch):
@@ -993,7 +1004,8 @@ def test_ratio_past_the_float_range_never_blocks():
 def test_determine_pivot_count_tripwire(monkeypatch):
     # a slow-converging loop rho * Q (Q orthogonal) stops at k0 = 47 after
     # 48 steps of 2 rows each; the 6 rows outside the row space of the first
-    # 3 stacks are unbounded without a solve, leaving 90 LPs.  The pinned
+    # 3 stacks are unbounded without a solve, leaving 90 LPs, of which step
+    # 3's 2, over 8 rows of rank 8, take the closed form and 0 pivots.  The pinned
     # pivot total catches a change of pricing rule, ratio test, warm start
     # or tableau arithmetic that the k0 alone would not show
     rng = np.random.default_rng(0)
@@ -1012,14 +1024,15 @@ def test_determine_pivot_count_tripwire(monkeypatch):
     monkeypatch.setattr(gaincap.lp.Band, "maximize", counting_maximize)
     cap = determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
     assert (cap.k0, cap.status, len(pivots)) == (47, DETERMINED, 90)
-    assert sum(pivots) == 1173
+    assert sum(pivots) == 1160
 
 
 def test_budget_error_on_a_warm_row_names_its_constraint(monkeypatch):
     # the LPs of a block after its first start from the vertex the one
     # before left; a budget error there still stops the step at that row,
     # constraint 2j+1.  On the tripwire's loop the first 3 steps skip both
-    # rows, so step 3's second row is the first that starts warm
+    # rows and step 3's band of 8 rows at rank 8 needs no simplex, so step
+    # 4's second row is the first that starts warm
     rng = np.random.default_rng(0)
     q, r = np.linalg.qr(rng.standard_normal((8, 8)))
     a_tilde = 0.99 * q * np.sign(np.diag(r))
@@ -1031,7 +1044,7 @@ def test_budget_error_on_a_warm_row_names_its_constraint(monkeypatch):
     monkeypatch.setattr(gaincap.lp, "_reprice", exhausted)
     with pytest.raises(DeterminationError, match="LP solver gave up: pivot budget") as err:
         determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
-    assert (err.value.step, err.value.constraint) == (3, 3)
+    assert (err.value.step, err.value.constraint) == (4, 3)
 
 
 def test_constraint_rows_own_their_bytes():
@@ -1081,8 +1094,9 @@ def test_stop_test_rejects_negative_band():
 
 
 NON_MATRICES = ([["1", "0"], ["0", "1"]], [[{}, 0.0], [0.0, 1.0]], [[10**400, 0.0], [0.0, 1.0]],
-                [[1j, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0]])
-NON_VECTORS = (["0.3", "0.5"], [{}, 0.5], [10**400, 0.5], [1j, 0.5], [0.3, [0.5]])
+                [[1j, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0]], [[True, False], [False, True]],
+                [[True, 1]])
+NON_VECTORS = (["0.3", "0.5"], [{}, 0.5], [10**400, 0.5], [1j, 0.5], [0.3, [0.5]], [True, 0.5])
 
 
 def test_plant_data_refuses_non_numbers_with_value_error():

@@ -154,6 +154,7 @@ def test_problem_file_numbers_must_be_json_numbers():
         ("tau0", [{}, 0.5], "field 'tau0' must be an array of real numbers"),
         ("A", [["0.9", 0.0], [0.6, 0.3]], "field 'A' must be an array of real numbers"),
         ("A", [[0.9, 0.0], [0.6]], "field 'A' must be an array of real numbers"),
+        ("A", [[True, 0], [0, True]], "field 'A' must be an array of real numbers"),
         ("K", [[10**400, 0.16], [0.24, 0.12]], "field 'K' contains non-finite entries"),
         ("epsilon", "1.4", "field 'epsilon' must be a positive finite number"),
         ("epsilon", None, "field 'epsilon' must be a positive finite number"),
@@ -193,6 +194,11 @@ def test_bad_file_or_flag_exits_1_without_traceback(tmp_path, capsys):
          "beta contains non-finite entries"),
         (["simulate", fixture("ex1"), "--alpha=1", "--beta=0,0", "--steps", "-1"],
          "steps must be nonnegative"),
+        # a count past sys.maxsize used to reach numpy, whose error named no flag
+        (["region", fixture("ex1"), *window, "--grid", str(10**400)],
+         f"--grid must be at most {sys.maxsize}"),
+        (["simulate", fixture("ex1"), "--alpha=1", "--beta=0,0", "--steps", str(10**400)],
+         f"steps must be at most {sys.maxsize}"),
     ):
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()

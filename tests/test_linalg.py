@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,11 @@ def test_as_count():
             as_count(bad, "k", 1, "at least 1")
     with pytest.raises(ValueError, match="k must be at least 1"):
         as_count(0, "k", 1, "at least 1")
+    # numpy can index no size past sys.maxsize; it is the largest count
+    assert as_count(sys.maxsize, "k", 1, "at least 1") == sys.maxsize
+    for bad in (sys.maxsize + 1, 10**400, np.uint64(2**63)):
+        with pytest.raises(ValueError, match=f"^k must be at most {sys.maxsize}$"):
+            as_count(bad, "k", 1, "at least 1")
 
 
 def test_as_real():
@@ -70,7 +76,8 @@ def test_as_matrix_and_as_vector_refuse_non_numbers():
     # numpy would read strings as numbers and raise TypeError or
     # OverflowError on the rest; each is one ValueError naming the argument
     for bad in ([["1", "2"]], [[1.0, "2"]], [[{}, 1.0]], [[None, 1.0]], [[1j, 1.0]],
-                [[1.0, 2.0], [3.0]], [["a"]]):
+                [[1.0, 2.0], [3.0]], [["a"]], [[True, False], [False, True]], [[True, 1]],
+                [[np.True_, 1.0]], np.eye(2, dtype=bool)):
         with pytest.raises(ValueError, match="^gains must be an array of real numbers$"):
             as_matrix(bad, "gains")
         with pytest.raises(ValueError, match="^start must be an array of real numbers$"):

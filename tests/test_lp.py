@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gaincap import lp
+from gaincap import ITERATION_LIMIT, CapacitySet, lp, stop_test
 from gaincap.lp import (
+    EPS,
     OPTIMAL,
     UNBOUNDED,
     Band,
@@ -154,8 +155,11 @@ def test_band_basis_rank_matches_matrix_rank():
 def test_band_grown_by_blocks_solves_as_one_stack():
     # a band extended block by block shares one tableau body per stack, and
     # its LPs are bit for bit those over the whole stack at once; a row it
-    # finds outside the stack's row space is unbounded
+    # finds outside the stack's row space is unbounded.  A square band of n
+    # rows at rank n answers in closed form, with 0 pivots, within 1e-12 of
+    # the whole stack's simplex
     rng = np.random.default_rng(19)
+    squares = 0
     for _ in range(40):
         n = int(rng.integers(2, 6))
         epsilon = float(rng.uniform(0.5, 2.0))
@@ -167,10 +171,16 @@ def test_band_grown_by_blocks_solves_as_one_stack():
             scaled = equilibrate(rows)[0]
             for row, row_s, outside in zip(rows, scaled, band.unbounded(scaled)):
                 got, whole = band.maximize(row, row_s), maximize(row, np.vstack(blocks), epsilon)
-                assert (got.status, got.value, got.pivots) == (
-                    whole.status, whole.value, whole.pivots
-                )
+                if band.size == band.rank == n:
+                    squares += 1
+                    assert (got.status, got.pivots) == (OPTIMAL, 0)
+                    assert got.value == pytest.approx(whole.value, rel=1e-12, abs=0.0)
+                else:
+                    assert (got.status, got.value, got.pivots) == (
+                        whole.status, whole.value, whole.pivots
+                    )
                 assert not outside or got.status == UNBOUNDED
+    assert squares > 0
 
 
 def test_rows_joining_mid_block_restart_its_lps():
@@ -491,3 +501,137 @@ def test_survives_wide_coefficient_range():
     out = simplex((block @ a)[0], g, np.full(g.shape[0], 0.9))
     assert out.status == OPTIMAL
     assert out.value > 0.9  # the unstable mode keeps the band violated
+
+
+def square_outcomes(s, epsilon, rows):
+    """The outcomes of ``rows`` over the band of the n x n rows ``s``, whose
+    rank the band finds first, as :meth:`Band.maxima` does before its LPs."""
+    band = Band(s, epsilon)
+    scaled = equilibrate(rows)[0]
+    assert not any(band.unbounded(scaled))
+    assert band.size == band.rank == s.shape[1]
+    return [band.maximize(row, row_s) for row, row_s in zip(rows, scaled)]
+
+
+def test_square_band_answers_in_closed_form():
+    # n rows at rank n bound a parallelepiped, whose maximum is the vertex
+    # x = G^-1 z, z = h with the signs of c G^-1, found with 0 pivots:
+    # within 1e-12 of the exact maximum and of the simplex over [S; -S],
+    # valued as c . x, on random square bands of n 1 to 6 with row scales
+    # from 1e-3 to 1e3
+    rng = np.random.default_rng(41)
+    for n in range(1, 7):
+        for _ in range(20):
+            s = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+            epsilon = float(rng.uniform(0.1, 2.0))
+            rows = rng.standard_normal((3, n))
+            g, h = np.vstack([s, -s]), np.full(2 * n, epsilon)
+            for row, out in zip(rows, square_outcomes(s, epsilon, rows)):
+                assert (out.status, out.pivots) == (OPTIMAL, 0)
+                exact = float(exact_maximize(row, g, h)[1])
+                assert out.value == pytest.approx(exact, rel=1e-12, abs=0.0)
+                assert out.value == pytest.approx(_simplex(row, g, h).value, rel=1e-12, abs=0.0)
+                assert out.value == row @ out.point and not out.point.flags.writeable
+                assert np.abs(s @ out.point).max() <= epsilon * (1.0 + 1e-9)
+
+
+def test_square_band_objective_along_a_band_row():
+    # an objective along band row j has c G^-1 zero but for entry j, and
+    # either sign of each zero entry gives a vertex on face j; its maximum
+    # is |k| epsilon
+    rng = np.random.default_rng(43)
+    for n in range(1, 7):
+        s = rng.standard_normal((n, n))
+        epsilon = float(rng.uniform(0.1, 2.0))
+        rows = np.vstack([k * s for k in (2.0, -0.5)])
+        for k, out in zip(np.repeat([2.0, -0.5], n), square_outcomes(s, epsilon, rows)):
+            assert (out.status, out.pivots) == (OPTIMAL, 0)
+            assert out.value == pytest.approx(abs(k) * epsilon, rel=1e-12, abs=0.0)
+
+
+def test_square_band_of_nearly_dependent_rows():
+    # rows 1e-7 and 1e-11 apart still count as rank n, so the closed form
+    # answers them; its maximum is within cond(G) * EPS of the exact one,
+    # the accuracy a backward-stable solve over G promises
+    rng = np.random.default_rng(53)
+    for delta in (1e-7, 1e-11):
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            s = rng.standard_normal((n, n))
+            s[1] = s[0] + delta * rng.standard_normal(n)
+            epsilon = float(rng.uniform(0.5, 2.0))
+            rows = rng.standard_normal((2, n))
+            bound = np.linalg.cond(equilibrate(s)[0]) * EPS
+            g, h = np.vstack([s, -s]), np.full(2 * n, epsilon)
+            for row, out in zip(rows, square_outcomes(s, epsilon, rows)):
+                assert (out.status, out.pivots) == (OPTIMAL, 0)
+                exact = float(exact_maximize(row, g, h)[1])
+                assert out.value == pytest.approx(exact, rel=bound, abs=0.0)
+
+
+def test_square_band_grown_past_n_rows_returns_to_the_simplex():
+    # once a row joins a square band the closed form no longer holds: each
+    # LP goes back to the simplex, bit for bit that over the whole stack
+    rng = np.random.default_rng(59)
+    pivots = 0
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        s, extra, rows = (rng.standard_normal((k, n)) for k in (n, 1, 3))
+        epsilon = float(rng.uniform(0.5, 2.0))
+        band = Band(s, epsilon)
+        scaled = equilibrate(rows)[0]
+        band.unbounded(scaled)
+        assert all(band.maximize(row, row_s).pivots == 0 for row, row_s in zip(rows, scaled))
+        band.extend(*equilibrate(extra))
+        for row, row_s in zip(rows, scaled):
+            got, whole = band.maximize(row, row_s), maximize(row, np.vstack([s, extra]), epsilon)
+            assert (got.status, got.value, got.pivots) == (whole.status, whole.value, whole.pivots)
+            pivots += got.pivots
+    assert pivots > 0
+
+
+def test_square_band_maximum_past_the_float_range_raises():
+    # max 1e300 x_1 over the square |x_1|, |x_2| <= 1e10 is 1e310, and over
+    # rows 1e-9 apart with epsilon 1e300 the vertex itself leaves the range:
+    # each raises without a numpy warning (an error under pytest's
+    # filterwarnings), and a maximum just inside the range is returned
+    cases = ((np.eye(2), 1e10, [1e300, 0.0]), (np.array([[1.0, 0.0], [1.0, 1e-9]]), 1e300, [0, 1]))
+    for s, epsilon, c in cases:
+        band = Band(s, epsilon)
+        with pytest.raises(OverflowError, match="maximum left the floating-point range"):
+            list(band.maxima(np.array([c], dtype=float)))
+        assert band.size == band.rank == 2
+    assert list(Band(np.eye(2), 1e10).maxima(np.array([[1e298, 0.0]]))) == [1e308]
+
+
+def test_stop_test_over_n_stored_rows(monkeypatch):
+    # a set of exactly n stored rows at rank n makes a square band, so
+    # stop_test runs no simplex; each maximum is within 1e-12 of the exact
+    # one over the stored rows, and the test stops exactly when all are
+    # within epsilon * (1 + stop_tol)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(lp, "_solve", refuse)
+    rng = np.random.default_rng(61)
+    seen = set()
+    for n, p in ((1, 1), (2, 1), (4, 2), (6, 3), (6, 2), (5, 5)):
+        for _ in range(4):
+            a = rng.standard_normal((n, n))
+            a *= float(rng.uniform(0.5, 1.2)) / np.abs(np.linalg.eigvals(a)).max()
+            blocks = [rng.standard_normal((p, n))]
+            while len(blocks) < n // p:
+                blocks.append(blocks[-1] @ a)
+            rows, epsilon = np.vstack(blocks), float(rng.uniform(0.5, 2.0))
+            cap = CapacitySet(a, rows, epsilon, p, None, ITERATION_LIMIT, ())
+            g, h = np.vstack([rows, -rows]), np.full(2 * n, epsilon)
+            for step in (n // p, n // p + 2):
+                stopped, values = stop_test(cap, step)
+                objective = rows[:p]
+                for _ in range(step):
+                    objective = objective @ a
+                exact = [float(exact_maximize(row, g, h)[1]) for row in objective]
+                assert values[::2] == values[1::2] == pytest.approx(exact, rel=1e-12, abs=0.0)
+                assert stopped == all(v <= epsilon * (1.0 + 1e-9) for v in values)
+                seen.add(stopped)
+    assert seen == {True, False}

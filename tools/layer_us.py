@@ -4,12 +4,14 @@
 
 Runs sweep and ladder at seed 201 in process, five batches each, with each
 layer below wrapped in a timer, and prints each layer's best batch; a time
-includes the layers it calls and the wrappers' cost.  ``step, no LP`` is a
-``_step`` that solved no LP, ``step, LP glue`` one that did, less its
-simplex.  ``warm LPs`` counts the LPs that started from the vertex of their
-block's previous LP, each repriced once by ``_reprice``.  gaincap and the
-workloads come from the checkout, no bytecode is written, and a layer the
-checkout lacks prints ``-``.
+includes the layers it calls and the wrappers' cost.  ``step, no simplex``
+is a ``_step`` that ran no simplex, ``step, simplex glue`` one that did, less
+its simplex.  ``simplex LPs`` counts the LPs the simplex solved, and
+``closed-form LPs`` those ``Band.maximize`` answered without it, over a
+square band of n rows at rank n.  ``warm LPs`` counts the LPs that started
+from the vertex of their block's previous LP, each repriced once by
+``_reprice``.  gaincap and the workloads come from the checkout, no bytecode
+is written, and a layer the checkout lacks prints ``-``.
 """
 
 import sys
@@ -34,27 +36,32 @@ LAYERS = {
     "check_gain": (gaincap, "check_gain"), "determine": (capacity, "determine"),
     "_advance": (capacity, "_advance"), "_step": (capacity, "_step"),
     "Band.extend": (lp.Band, "extend"), "Band.unbounded": (lp.Band, "unbounded"),
-    "simplex": (lp, "_solve"), "_reprice": (lp, "_reprice"),
+    "Band.maximize": (lp.Band, "maximize"), "simplex": (lp, "_solve"),
+    "_reprice": (lp, "_reprice"),
 }
-COUNTS = ("steps", "no-LP steps", "LPs", "warm LPs", "pivots", "skipped rows")
+COUNTS = ("steps", "no-simplex steps", "simplex LPs", "closed-form LPs", "warm LPs", "pivots",
+          "skipped rows")
 tally = defaultdict(float)
 
 
 def timed(name, call):
     def wrapper(*args, **kwargs):
-        lps, simplex = tally["LPs"], tally["simplex"]
+        lps, simplex = tally["simplex LPs"], tally["simplex"]
         start = perf_counter()
         out = call(*args, **kwargs)
         spent = perf_counter() - start
         tally[name] += spent
         if name == "_step":
-            idle = tally["LPs"] == lps
-            tally["step, no LP" if idle else "step, LP glue"] += spent - tally["simplex"] + simplex
+            idle = tally["simplex LPs"] == lps
+            glue = "step, no simplex" if idle else "step, simplex glue"
+            tally[glue] += spent - tally["simplex"] + simplex
             tally["steps"] += 1
-            tally["no-LP steps"] += idle
+            tally["no-simplex steps"] += idle
         elif name == "simplex":
-            tally["LPs"] += 1
+            tally["simplex LPs"] += 1
             tally["pivots"] += out.pivots
+        elif name == "Band.maximize":
+            tally["closed-form LPs"] += tally["simplex LPs"] == lps
         elif name == "Band.unbounded":
             tally["skipped rows"] += sum(out)
         elif name == "_reprice":
@@ -78,7 +85,7 @@ for workload in ("sweep", "ladder"):
         batches.append({k: v / w.size for k, v in tally.items()})
     best[workload] = {k: min(b.get(k, 0.0) for b in batches) for k in batches[0]}
 print(f"{'us per verdict':24}{'sweep':>10}{'ladder':>10}")
-for name in [*LAYERS, "step, no LP", "step, LP glue", *COUNTS]:
+for name in [*LAYERS, "step, no simplex", "step, simplex glue", *COUNTS]:
     scale, form = (1, ".2f") if name in COUNTS else (1e6, ".1f")
     missing = name in absent or (name == "warm LPs" and "_reprice" in absent)
     cells = ["-" if missing else format(best[w].get(name, 0) * scale, form) for w in best]
