@@ -1,53 +1,8 @@
 """Capacity sets of state-feedback gains for disturbed initial states."""
 
-from .capacity import (
-    DETERMINED,
-    ITERATION_LIMIT,
-    AnalysisReport,
-    BetaViolation,
-    CapacitySet,
-    DeterminationError,
-    Gain,
-    IterationRecord,
-    MembershipResult,
-    SensitivityReport,
-    SystemSpec,
-    Trajectory,
-    Violation,
-    analyze,
-    check_gain,
-    closed_loop,
-    determine,
-    membership,
-    region_sample,
-    sensitivity_rows,
-    simulate,
-    stop_test,
-)
+from . import capacity
+from .capacity import *  # noqa: F403
 
-__all__ = [
-    "DETERMINED",
-    "ITERATION_LIMIT",
-    "AnalysisReport",
-    "BetaViolation",
-    "CapacitySet",
-    "DeterminationError",
-    "Gain",
-    "IterationRecord",
-    "MembershipResult",
-    "SensitivityReport",
-    "SystemSpec",
-    "Trajectory",
-    "Violation",
-    "analyze",
-    "check_gain",
-    "closed_loop",
-    "determine",
-    "membership",
-    "region_sample",
-    "sensitivity_rows",
-    "simulate",
-    "stop_test",
-]
+__all__ = capacity.__all__
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ maximum.  Each block is equilibrated (each row scaled by its largest
 absolute entry) once, by :func:`equilibrate`, for its LPs and its join;
 that is exactly invertible, leaves the feasible set untouched, and keeps
 the tableau well-conditioned when rows span many orders of magnitude.  The
-LPs over one stack copy one shared tableau body.  While the stack has rank
+LPs over one stack share one simplex state.  While the stack has rank
 below n the band is a cylinder: it grows an orthonormal basis of the row
 space by Gram-Schmidt, with no SVD, and answers a row clearly outside that
 space as unbounded (inf) without a simplex.  A band of exactly n rows at
@@ -20,14 +20,15 @@ box ``|z| <= h``, ``y = c G^-1``, whose maximum is the vertex ``z = h``
 with the signs of ``y`` (either sign where ``y`` is 0).  One inverse of
 ``G`` serves all LPs over the band, each reported with 0 pivots.
 
-The LPs of one block share one tableau.  The first starts at the origin;
-each later one starts from the vertex the one before it left, which is
-feasible as the band is the same, with the reduced costs of its own
-objective recomputed there in one matvec, ``cost_N - cost_B . T``.  When
-the new objective is negative at that vertex, the LP maximizes its
-negation instead and negates the point: the band is centrally symmetric,
-so both have the same maximum.  A single LP, :meth:`Band.maximize` called
-directly, :func:`maximize` or :func:`_simplex`, starts at the origin.
+Each simplex LP over a band starts from the vertex the one before it left,
+which is feasible as the band is the same, with the reduced costs of its
+own objective computed there in one matvec, ``cost_N - cost_B . T``.  An
+LP starts at the origin, the all-slack basis where ``cost_B`` is 0 and
+that row is the objective's own, only on a fresh band or after rows join.
+When the new objective is negative at its start vertex, the LP maximizes
+its negation instead and negates the point: the band is centrally
+symmetric, so both have the same maximum.  :func:`maximize` and
+:func:`_simplex` each solve one LP over a band or program of their own.
 
 All simplex state lives in one compact tableau that keeps only the
 nonbasic columns: each free variable is split into two nonnegative ones
@@ -48,10 +49,9 @@ compares the pivot column with a floor per row, ``PIVOT_TOL`` for a slack
 row and inf for a structural one.  The candidate rows are those whose
 entry exceeds its floor, and the leaving row is, among their ratio ties,
 the one whose basic variable has the smallest label.  A ratio past the
-float range is inf, so it never blocks a finite one.  Rows that are no
-candidate never enter the choice, except on a NaN ratio or when no ratio
-is finite, where the choice is the one a scan over every row would make,
-structural rows included.  Dantzig's rule can cycle on a degenerate
+float range is inf, so it never blocks a finite one; when no ratio is
+finite, or one is NaN, the step has no float value and the simplex
+raises :class:`OverflowError`.  Dantzig's rule can cycle on a degenerate
 vertex, so after half the pivot budget the entering scan switches to
 Bland's rule (the improving column with the smallest label), which with
 that leaving rule never cycles.  A hard budget of ``50 * (variables +
@@ -145,7 +145,7 @@ class Band:
         self.size = self.rank = self._spanned = 0  # _spanned rows have entered the basis
         self._upper = np.empty((2 * n, 2 * n + 1))  # [rows | -rows | bounds], doubled when full
         self._basis = np.empty((n, n))  # the first `rank` rows span the row space
-        self._body = self._block = self._inverse = None  # _block: the tableau a block's LPs share
+        self._vertex = self._inverse = None  # _vertex: the simplex state the last LP left
         self._joining = equilibrate(s)  # joins before the next rank test or LP
 
     def extend(self, scaled: np.ndarray, scale: np.ndarray) -> None:
@@ -166,9 +166,7 @@ class Band:
         joining[:, :n] = scaled
         np.negative(joining[:, :n], out=joining[:, n:-1])
         joining[:, -1] = self.epsilon / scale
-        self.size, self._body = size, None
-        if self._block:  # a block's next LP starts over, at the origin of the grown band
-            self._block.clear()
+        self.size, self._vertex = size, None  # the next LP starts at the grown band's origin
 
     def unbounded(self, scaled: np.ndarray) -> list[bool]:
         """Whether each of the equilibrated rows ``scaled`` lies clearly
@@ -204,9 +202,9 @@ class Band:
         ``scaled``, the objective as :func:`equilibrate` scales it: an
         :class:`LpOutcome` with status ``optimal`` (point and value set) or
         ``unbounded``.  Raises :class:`OverflowError` when the maximum has
-        no float value.  While :meth:`maxima` answers a block it starts
-        from the vertex the block's previous LP left, and otherwise from
-        the origin.  Once :meth:`unbounded` has found rank n for a band of
+        no float value.  It starts from the vertex the band's previous
+        simplex LP left, or at the origin on a fresh band or after rows
+        join.  Once :meth:`unbounded` has found rank n for a band of
         exactly n rows ``G`` (as :meth:`maxima` does before its LPs), the
         maximizer is ``G^-1 copysign(h, scaled G^-1)`` in closed form, with
         0 pivots, from one inverse of ``G`` that serves all its LPs."""
@@ -218,27 +216,24 @@ class Band:
             with np.errstate(over="ignore", invalid="ignore"):
                 x = self._inverse @ np.copysign(self._upper[:n, -1], scaled @ self._inverse)
             return _optimum(objective, x, 0)
-        if self._body is None:  # [G | -G | h], shared until the next extend
+        if self._vertex is None:  # the origin of [G | -G | h], until the next extend
             upper = self._upper[: self.size]
-            self._body = np.concatenate([upper, -upper])
-            self._body[self.size :, -1] *= -1.0  # -rows keep their bounds
-        return _solve(self._body, objective, scaled, block=self._block)
+            body = np.concatenate([upper, -upper])
+            body[self.size :, -1] *= -1.0  # -rows keep their bounds
+            self._vertex = _origin(body)
+        return _solve(self._vertex, objective, scaled)
 
     def maxima(self, rows: np.ndarray) -> Iterator[float]:
         """Yield the maximum of each float64 row of ``rows`` over the band, inf
         when unbounded, by :meth:`unbounded` or :meth:`maximize`.  ``rows`` are
         equilibrated once, for their LPs and, once all are yielded, for their
-        join at the next call; a join raises as :meth:`extend` does.  The
-        block's LPs share one tableau: each after the first starts from the
-        vertex the one before it left."""
+        join at the next call; a join raises as :meth:`extend` does.  Each
+        LP starts from the vertex the band's previous one left, the first
+        after a join at the origin."""
         scaled, scale = equilibrate(rows)
-        self._block = []
-        try:
-            for row, row_s, outside in zip(rows, scaled, self.unbounded(scaled)):
-                outcome = None if outside else self.maximize(row, row_s)
-                yield math.inf if outside or outcome.status == UNBOUNDED else outcome.value
-        finally:
-            self._block = None
+        for row, row_s, outside in zip(rows, scaled, self.unbounded(scaled)):
+            outcome = None if outside else self.maximize(row, row_s)
+            yield math.inf if outside or outcome.status == UNBOUNDED else outcome.value
         self._joining = scaled, scale
 
     def _join(self) -> None:
@@ -260,13 +255,26 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
     when the maximum has no float value."""
     g, row_scale = equilibrate(g)
     body = np.hstack([g, -g, (h / row_scale)[:, None]])
-    return _solve(body, c, equilibrate(c[None])[0][0], iteration_budget)
+    return _solve(_origin(body), c, equilibrate(c[None])[0][0], iteration_budget)
+
+
+def _origin(body: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
+    """The simplex state at the origin of the equilibrated tableau body
+    ``[G | -G | h]``, copied: the tableau with a row for the reduced costs,
+    the basic and nonbasic labels, and the floor a row's pivot-column entry
+    must pass in the ratio test (inf in a row whose structural is basic)."""
+    r, n = body.shape[0], body.shape[1] // 2
+    tab = np.empty((r + 1, 2 * n + 1))
+    tab[:-1] = body
+    return tab, list(range(2 * n, 2 * n + r)), list(range(2 * n)), np.full(r, PIVOT_TOL)
 
 
 def _reprice(tab: np.ndarray, basis: list, nonbasic: list, c_s: np.ndarray) -> bool:
     """Write the reduced costs of ``c_s`` at the tableau's vertex into its
     last row, ``cost_N - cost_B . T`` in one matvec, or, when ``c_s`` is
-    negative at that vertex, those of ``-c_s``; whether it took ``-c_s``."""
+    negative at that vertex, those of ``-c_s``; whether it took ``-c_s``.
+    At the origin ``cost_B`` is 0, so on a finite tableau the row is
+    ``[c_s | -c_s | 0]``."""
     n = c_s.shape[0]
     costs = np.zeros(tab.shape[0] + 2 * n)  # by label, then 0 for the bounds column
     costs[:n] = c_s
@@ -279,34 +287,15 @@ def _reprice(tab: np.ndarray, basis: list, nonbasic: list, c_s: np.ndarray) -> b
     return False
 
 
-def _solve(
-    body: np.ndarray, c: np.ndarray, c_s: np.ndarray, iteration_budget=None, block=None
-) -> LpOutcome:
-    """The simplex over the equilibrated tableau body ``[G | -G | h]``,
-    which it leaves untouched, priced by the equilibrated objective ``c_s``
-    and valued by ``c``.  It starts at the origin unless ``block`` holds the
-    tableau that an earlier LP over the same band body left, whose vertex it
-    starts from (see :meth:`Band.maxima`); a list ``block`` is left holding
-    this LP's tableau."""
-    n, r = c.shape[0], body.shape[0]
+def _solve(state: tuple, c: np.ndarray, c_s: np.ndarray, iteration_budget=None) -> LpOutcome:
+    """The simplex from the vertex of ``state``, as :func:`_origin` builds
+    it or an earlier LP over the same band left it, priced by the
+    equilibrated objective ``c_s`` (see :func:`_reprice`) and valued by
+    ``c``; ``state`` is left at this LP's last vertex."""
+    tab, basis, nonbasic, floor = state
+    n, r = c.shape[0], tab.shape[0] - 1
     budget = 50 * (n + r) if iteration_budget is None else int(iteration_budget)
-
-    if block:
-        tab, basis, nonbasic, floor = block
-        mirrored = _reprice(tab, basis, nonbasic, c_s)
-    else:
-        # split free variables; the slacks start basic at the origin, where
-        # the reduced costs are the scaled objective itself
-        tab = np.empty((r + 1, 2 * n + 1))
-        tab[:-1], tab[-1, :n], tab[-1, -1] = body, c_s, 0.0
-        np.negative(c_s, out=tab[-1, n:-1])
-        basis, nonbasic = list(range(2 * n, 2 * n + r)), list(range(2 * n))
-        # a row's least pivot-column entry to compete in the ratio test: a
-        # basic structural is free, so its row does not compete
-        floor = np.full(r, PIVOT_TOL)
-        mirrored = False
-        if block is not None:
-            block[:] = tab, basis, nonbasic, floor
+    mirrored = _reprice(tab, basis, nonbasic, c_s)
     reduced, rhs = tab[-1, :-1], tab[:-1, -1]  # views, updated in place by _pivot
 
     # a ratio or a tableau entry past the float range is inf; one errstate
@@ -331,10 +320,9 @@ def _solve(
             ratios = np.maximum(rhs[candidates], 0.0) / column[candidates]
             best = float(ratios[ratios.argmin()])  # the first NaN, as min gives NaN
             limit = best + 1e-12 * (1.0 + best)
-            if limit < np.inf:
-                ties = candidates[ratios <= limit]
-            else:  # an inf or NaN ratio: every row ties, or none and row 0 is taken
-                ties = np.arange(r) if limit == np.inf else np.zeros(1, dtype=int)
+            if not limit < np.inf:  # no finite ratio, or a NaN one
+                raise OverflowError("the simplex left the floating-point range")
+            ties = candidates[ratios <= limit]
             row = int(ties[0]) if ties.size == 1 else min(ties.tolist(), key=basis.__getitem__)
             if pivots >= budget:
                 raise SimplexBudgetError(f"pivot budget of {budget} exhausted ({r} constraints)")

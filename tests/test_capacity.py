@@ -1032,14 +1032,18 @@ def test_budget_error_on_a_warm_row_names_its_constraint(monkeypatch):
     # before left; a budget error there still stops the step at that row,
     # constraint 2j+1.  On the tripwire's loop the first 3 steps skip both
     # rows and step 3's band of 8 rows at rank 8 needs no simplex, so step
-    # 4's second row is the first that starts warm
+    # 4's second row is the first that starts away from the origin, where
+    # a structural is basic
     rng = np.random.default_rng(0)
     q, r = np.linalg.qr(rng.standard_normal((8, 8)))
     a_tilde = 0.99 * q * np.sign(np.diag(r))
     c = rng.standard_normal((2, 8))
+    original = gaincap.lp._reprice
 
-    def exhausted(*args):
-        raise gaincap.lp.SimplexBudgetError("pivot budget of 0 exhausted")
+    def exhausted(tab, basis, nonbasic, c_s):
+        if min(basis) < 2 * c_s.shape[0]:
+            raise gaincap.lp.SimplexBudgetError("pivot budget of 0 exhausted")
+        return original(tab, basis, nonbasic, c_s)
 
     monkeypatch.setattr(gaincap.lp, "_reprice", exhausted)
     with pytest.raises(DeterminationError, match="LP solver gave up: pivot budget") as err:

@@ -68,9 +68,10 @@ def test_maximize_takes_integer_and_nested_list_rows():
 
 def test_one_scaling_of_the_objective_changes_no_bit():
     # the band's LPs take each objective row scaled once, with its block;
-    # value, point and pivots are those of the general simplex, which scales
-    # its own objective, on bands with a row of scale 1e-300 and a zero row
-    # and on objectives of mixed sign and magnitude
+    # the first LP over a fresh band has the value, point and pivots of the
+    # general simplex, which scales its own objective, on bands with a row
+    # of scale 1e-300 and a zero row and on objectives of mixed sign and
+    # magnitude
     rng = np.random.default_rng(37)
     for trial in range(120):
         n = int(rng.integers(2, 6))
@@ -82,11 +83,10 @@ def test_one_scaling_of_the_objective_changes_no_bit():
         epsilon = float(rng.uniform(0.1, 2.0))
         objectives = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-150, 150, size=(3, n))
         objectives[0] = 0.0
-        band = Band(s, epsilon)
         for c, scaled in zip(objectives, equilibrate(objectives)[0]):
             outcomes = []
             for solve in (
-                lambda: band.maximize(c, scaled),
+                lambda: Band(s, epsilon).maximize(c, scaled),
                 lambda: _simplex(c, np.vstack([s, -s]), np.full(2 * s.shape[0], epsilon)),
             ):
                 try:
@@ -153,11 +153,12 @@ def test_band_basis_rank_matches_matrix_rank():
 
 
 def test_band_grown_by_blocks_solves_as_one_stack():
-    # a band extended block by block shares one tableau body per stack, and
-    # its LPs are bit for bit those over the whole stack at once; a row it
-    # finds outside the stack's row space is unbounded.  A square band of n
-    # rows at rank n answers in closed form, with 0 pivots, within 1e-12 of
-    # the whole stack's simplex
+    # a band extended block by block shares one simplex state per stack, and
+    # its LPs are bit for bit those of a band over the whole stack at once
+    # that answers the same rows in the same order; a row it finds outside
+    # the stack's row space is unbounded.  A square band of n rows at rank
+    # n answers in closed form, with 0 pivots, within 1e-12 of the whole
+    # stack's simplex
     rng = np.random.default_rng(19)
     squares = 0
     for _ in range(40):
@@ -169,8 +170,9 @@ def test_band_grown_by_blocks_solves_as_one_stack():
             band.extend(*equilibrate(blocks[-1]))
             rows = rng.standard_normal((3, n))
             scaled = equilibrate(rows)[0]
+            stack = Band(np.vstack(blocks), epsilon)
             for row, row_s, outside in zip(rows, scaled, band.unbounded(scaled)):
-                got, whole = band.maximize(row, row_s), maximize(row, np.vstack(blocks), epsilon)
+                got, whole = band.maximize(row, row_s), stack.maximize(row, row_s)
                 if band.size == band.rank == n:
                     squares += 1
                     assert (got.status, got.pivots) == (OPTIMAL, 0)
@@ -309,26 +311,19 @@ def test_dantzig_cycle_falls_back_to_bland():
     assert (out.status, out.value, out.pivots) == (OPTIMAL, 0.0, 275 + 4)
 
 
-@pytest.mark.parametrize("objective, rows, bounds, pivots", [
-    # an inf ratio, on which every row ties
-    ([1.0], [[-1e-300], [2e-300]], [0.0, 2e300], None),
-    # an inf ratio, then a NaN one, on which no row ties and row 0 is taken
-    ([-3.0], [[1e-300], [-2e-200]], [1e308, 1e300], None),
-    # an inf ratio, then a NaN reduced cost as the argmax while another
-    # reduced cost still improves
-    ([-1.0], [[0.0], [-3e-200]], [0.0, 2e300], 1),
+@pytest.mark.parametrize("objective, rows, bounds", [
+    ([1.0], [[-1e-300], [2e-300]], [0.0, 2e300]),  # maximum 1e600
+    ([-3.0], [[1e-300], [-2e-200]], [1e308, 1e300]),  # maximum 1.5e500
+    ([-1.0], [[0.0], [-3e-200]], [0.0, 2e300]),  # maximum 6.7e499
 ])
-def test_non_finite_tableau_keeps_full_scan_decisions(objective, rows, bounds, pivots):
+def test_non_finite_ratio_raises_overflow(objective, rows, bounds):
     # equilibration divides a bound near the top of the float range by a
-    # tiny row scale, so the tableau holds inf, and pivots on it make NaN;
-    # the pivot rules must still decide as scans over every row and every
-    # column would: None stands for an exhausted budget
+    # tiny row scale, so the tableau holds inf; a ratio test whose least
+    # ratio is inf or NaN has no float step, as the maximum has no float
+    # value, and raises on the first pivot
     with np.errstate(all="ignore"):
-        if pivots is None:
-            with pytest.raises(SimplexBudgetError, match="budget of 150 exhausted"):
-                simplex(objective, rows, bounds)
-        else:
-            assert simplex(objective, rows, bounds) == LpOutcome(UNBOUNDED, pivots=pivots)
+        with pytest.raises(OverflowError, match="simplex left the floating-point range"):
+            simplex(objective, rows, bounds)
 
 
 def random_lps(seed, count):
@@ -398,9 +393,11 @@ def test_block_lps_start_from_the_previous_vertex(monkeypatch):
     # a cylinder, an unbounded row between two solved ones
     mirrored = []
 
-    def counting_reprice(*args):
-        mirrored.append(original(*args))
-        return mirrored[-1]
+    def counting_reprice(tab, basis, nonbasic, c_s):
+        took = original(tab, basis, nonbasic, c_s)
+        if min(basis) < 2 * c_s.shape[0]:  # a basic structural: away from the origin
+            mirrored.append(took)
+        return took
 
     original = lp._reprice
     monkeypatch.setattr(lp, "_reprice", counting_reprice)
@@ -427,6 +424,33 @@ def test_block_lps_start_from_the_previous_vertex(monkeypatch):
                 assert value == pytest.approx(cold.value, rel=1e-9, abs=0.0)
     assert unbounded == 80
     assert mirrored.count(True) > 40 and mirrored.count(False) > 40
+
+
+def test_every_lp_over_a_band_starts_from_its_last_vertex():
+    # a band keeps one simplex state, so direct maximize calls after the
+    # rank test, on the rows maxima solves, yield maxima's values bit for
+    # bit; and the first LP after rows join starts at the grown band's
+    # origin, bit for bit the LP of a fresh band over the whole stack
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        s = rng.standard_normal((int(rng.integers(1, 3 * n)), n))
+        block = rng.standard_normal((int(rng.integers(2, 5)), n))
+        epsilon = float(rng.uniform(0.5, 2.0))
+        band, direct = Band(s, epsilon), Band(s, epsilon)
+        scaled = equilibrate(block)[0]
+        expected = []
+        for row, row_s, outside in zip(block, scaled, direct.unbounded(scaled)):
+            out = None if outside else direct.maximize(row, row_s)
+            expected.append(math.inf if outside or out.status == UNBOUNDED else out.value)
+        assert np.array(list(band.maxima(block))).tobytes() == np.array(expected).tobytes()
+        row = rng.standard_normal(n)
+        row_s = equilibrate(row[None])[0][0]
+        got = band.maximize(row, row_s)
+        whole = Band(np.vstack([s, block]), epsilon).maximize(row, row_s)
+        assert (got.status, got.value, got.pivots) == (whole.status, whole.value, whole.pivots)
+        assert (got.point is None) == (whole.point is None)
+        assert got.point is None or got.point.tobytes() == whole.point.tobytes()
 
 
 def test_returned_point_is_feasible():
@@ -571,7 +595,8 @@ def test_square_band_of_nearly_dependent_rows():
 
 def test_square_band_grown_past_n_rows_returns_to_the_simplex():
     # once a row joins a square band the closed form no longer holds: each
-    # LP goes back to the simplex, bit for bit that over the whole stack
+    # LP goes back to the simplex, bit for bit that of a band over the whole
+    # stack that answers the same rows in the same order
     rng = np.random.default_rng(59)
     pivots = 0
     for _ in range(30):
@@ -583,8 +608,9 @@ def test_square_band_grown_past_n_rows_returns_to_the_simplex():
         band.unbounded(scaled)
         assert all(band.maximize(row, row_s).pivots == 0 for row, row_s in zip(rows, scaled))
         band.extend(*equilibrate(extra))
+        stack = Band(np.vstack([s, extra]), epsilon)
         for row, row_s in zip(rows, scaled):
-            got, whole = band.maximize(row, row_s), maximize(row, np.vstack([s, extra]), epsilon)
+            got, whole = band.maximize(row, row_s), stack.maximize(row, row_s)
             assert (got.status, got.value, got.pivots) == (whole.status, whole.value, whole.pivots)
             pivots += got.pivots
     assert pivots > 0

@@ -9,9 +9,12 @@ is a ``_step`` that ran no simplex, ``step, simplex glue`` one that did, less
 its simplex.  ``simplex LPs`` counts the LPs the simplex solved, and
 ``closed-form LPs`` those ``Band.maximize`` answered without it, over a
 square band of n rows at rank n.  ``warm LPs`` counts the LPs that started
-from the vertex of their block's previous LP, each repriced once by
-``_reprice``.  gaincap and the workloads come from the checkout, no bytecode
-is written, and a layer the checkout lacks prints ``-``.
+away from the origin, from the vertex of their band's previous LP: the calls
+of ``_reprice``, which prices each simplex LP once, less those of
+``_origin``, which builds the origin of a fresh or grown band for its first
+(a checkout without ``_origin`` reprices only the warm LPs).  gaincap and
+the workloads come from the checkout, no bytecode is written, and a layer
+the checkout lacks prints ``-``.
 """
 
 import sys
@@ -37,7 +40,7 @@ LAYERS = {
     "_advance": (capacity, "_advance"), "_step": (capacity, "_step"),
     "Band.extend": (lp.Band, "extend"), "Band.unbounded": (lp.Band, "unbounded"),
     "Band.maximize": (lp.Band, "maximize"), "simplex": (lp, "_solve"),
-    "_reprice": (lp, "_reprice"),
+    "_reprice": (lp, "_reprice"), "_origin": (lp, "_origin"),
 }
 COUNTS = ("steps", "no-simplex steps", "simplex LPs", "closed-form LPs", "warm LPs", "pivots",
           "skipped rows")
@@ -66,6 +69,8 @@ def timed(name, call):
             tally["skipped rows"] += sum(out)
         elif name == "_reprice":
             tally["warm LPs"] += 1
+        elif name == "_origin":
+            tally["warm LPs"] -= 1
         return out
     return wrapper
 
