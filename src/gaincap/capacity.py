@@ -42,7 +42,7 @@ from .linalg import (
     rank,
     spectral_radius,
 )
-from .lp import Band, SimplexBudgetError
+from .lp import EPSILON_RULE, Band, SimplexBudgetError
 
 __all__ = [
     "DETERMINED",
@@ -463,7 +463,7 @@ def _stored_rows(cap: CapacitySet) -> np.ndarray:
     """A caller's set's rows as a float64 matrix, which may be empty or hold
     inf and NaN; its epsilon is checked as :class:`~gaincap.lp.Band` checks
     it, and its output_dim must be a count of at least 1 dividing the rows."""
-    as_real(cap.epsilon, "epsilon", 0.0, "finite and nonnegative: the origin is the start vertex")
+    as_real(cap.epsilon, "epsilon", 0.0, EPSILON_RULE)
     rows = as_matrix(cap.constraint_rows, "constraint rows", strict=False)
     output_dim = as_count(cap.output_dim, "output_dim", 1, "at least 1")
     if rows.shape[0] % output_dim:

@@ -597,7 +597,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as err:  # a bad file or flag raises ValueError
+    # a bad file or flag raises ValueError, and a count past memory MemoryError
+    except (ValueError, OverflowError, MemoryError) as err:
         print(f"gaincap: error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except DeterminationError as err:

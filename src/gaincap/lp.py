@@ -9,18 +9,22 @@ per step, and :meth:`Band.maxima` gives each row of the next block its
 maximum.  Each block is equilibrated (each row scaled by its largest
 absolute entry) once, by :func:`equilibrate`, for its LPs and its join;
 that is exactly invertible, leaves the feasible set untouched, and keeps
-the tableau well-conditioned when rows span many orders of magnitude.  The
-LPs over one stack share one simplex state.  While the stack has rank
-below n the band is a cylinder: it grows an orthonormal basis of the row
-space by Gram-Schmidt, with no SVD, and answers a row clearly outside that
-space as unbounded (inf) without a simplex.  A band of exactly n rows at
+the tableau well-conditioned when rows span many orders of magnitude.
+
+A band settles its rows where they join, in :meth:`Band.extend`, so an
+LP's answer does not depend on who asks.  While the stack has rank below n
+the band is a cylinder: each joining row grows an orthonormal basis of the
+row space by Gram-Schmidt, with no SVD, and a row clearly outside that
+space is unbounded (inf) without a simplex.  A band of exactly n rows at
 rank n (a search's step n/p - 1 when p divides n) is a parallelepiped and
 needs no simplex either: with ``z = G x`` its LP is ``max y . z`` over the
 box ``|z| <= h``, ``y = c G^-1``, whose maximum is the vertex ``z = h``
 with the signs of ``y`` (either sign where ``y`` is 0).  One inverse of
-``G`` serves all LPs over the band, each reported with 0 pivots.
+``G``, taken at the join, serves every LP over the band, through
+:meth:`Band.maxima`, :meth:`Band.maximize` or :func:`maximize` alike, each
+reported with 0 pivots.
 
-Each simplex LP over a band starts from the vertex the one before it left,
+Every other LP over a band starts from the vertex the one before it left,
 which is feasible as the band is the same, with the reduced costs of its
 own objective computed there in one matvec, ``cost_N - cost_B . T``.  An
 LP starts at the origin, the all-slack basis where ``cost_B`` is 0 and
@@ -33,11 +37,12 @@ symmetric, so both have the same maximum.  :func:`maximize` and
 All simplex state lives in one compact tableau that keeps only the
 nonbasic columns: each free variable is split into two nonnegative ones
 and each constraint has a slack.  At the origin the tableau is
-``[G | -G | h]``, with ``G`` the equilibrated ``[s; -s]`` and the scaled
-bounds ``h``, over the reduced-cost row ``[c | -c | 0]``; the label lists
-``basis`` and ``nonbasic`` name the variable of each row and column.  A
-pivot swaps two labels and writes the leaving variable's column where the
-entering one stood, so the unit columns of basic variables are never stored.
+``[g | -g | h]``, built by :func:`_origin` from equilibrated rows ``g``
+(``[G; -G]`` for a band) and their scaled bounds ``h``, over the
+reduced-cost row ``[c | -c | 0]``; the label lists ``basis`` and
+``nonbasic`` name the variable of each row and column.  A pivot swaps two
+labels and writes the leaving variable's column where the entering one
+stood, so the unit columns of basic variables are never stored.
 
 The entering column is Dantzig's, the one with the largest reduced cost.
 One ``argmax`` both picks it and ends the phase: the LP is optimal when no
@@ -83,6 +88,7 @@ EPS = np.finfo(float).eps
 # a row whose equilibrated part outside a band's row space has an entry
 # above this is unbounded over the band; smaller parts are left to the simplex
 UNBOUNDED_RESIDUAL = 1e-6
+EPSILON_RULE = "finite and nonnegative: the origin is the start vertex"
 
 
 class SimplexBudgetError(RuntimeError):
@@ -138,61 +144,53 @@ class Band:
     """
 
     def __init__(self, s: np.ndarray, epsilon: float):
-        rule = "finite and nonnegative: the origin is the start vertex"
-        self.epsilon = as_real(epsilon, "epsilon", 0.0, rule)
+        self.epsilon = as_real(epsilon, "epsilon", 0.0, EPSILON_RULE)
         s = np.asarray(s, dtype=float)
         n = s.shape[1]
-        self.size = self.rank = self._spanned = 0  # _spanned rows have entered the basis
-        self._upper = np.empty((2 * n, 2 * n + 1))  # [rows | -rows | bounds], doubled when full
+        self.size = self.rank = 0
+        self._rows = np.empty((0, n + 1))  # [rows | bounds]
         self._basis = np.empty((n, n))  # the first `rank` rows span the row space
-        self._vertex = self._inverse = None  # _vertex: the simplex state the last LP left
+        self._vertex = self._inverse = None  # the last LP's simplex state; G^-1 if square
         self._joining = equilibrate(s)  # joins before the next rank test or LP
 
     def extend(self, scaled: np.ndarray, scale: np.ndarray) -> None:
         """Let the rows ``scaled * scale[:, None]`` join the band, given as
-        :func:`equilibrate` returns them.  Raises :class:`OverflowError`,
-        before any row joins, when epsilon over the largest entry of a row
-        has no float value, as the scaled tableau would then hold inf."""
+        :func:`equilibrate` returns them, and settle them.  Until rank n, row
+        ``r`` of the stack enters the basis by Gram-Schmidt applied twice and
+        adds a direction when its part outside the basis passes numpy's
+        default rank tolerance, with ``sqrt(r * n)``, a bound on the norm of
+        the equilibrated stack, for its largest singular value.  A band of n
+        rows at rank n keeps their inverse for :meth:`maximize`.  Raises
+        :class:`OverflowError`, before any row joins, when epsilon over the
+        largest entry of a row has no float value (the tableau would hold inf)."""
         # the largest scaled bound comes from the smallest row scale; a
         # division of Python floats overflows to inf without a numpy warning
         if self.epsilon / float(scale.min(initial=np.inf)) == np.inf:
             raise OverflowError("epsilon over a band row's scale left the floating-point range")
-        n, size = scaled.shape[1], self.size + scaled.shape[0]
-        if size > self._upper.shape[0]:
-            grown = np.empty((2 * size, 2 * n + 1))
-            grown[: self.size] = self._upper[: self.size]
-            self._upper = grown
-        joining = self._upper[self.size : size]
-        joining[:, :n] = scaled
-        np.negative(joining[:, :n], out=joining[:, n:-1])
-        joining[:, -1] = self.epsilon / scale
-        self.size, self._vertex = size, None  # the next LP starts at the grown band's origin
-
-    def unbounded(self, scaled: np.ndarray) -> list[bool]:
-        """Whether each of the equilibrated rows ``scaled`` lies clearly
-        outside the row space of the band's equilibrated rows, which makes
-        its LP unbounded: whether its part outside that space has an entry
-        above ``UNBOUNDED_RESIDUAL``.  Smaller parts are left to the simplex.
-
-        Rows that joined since the last call first enter the basis by
-        Gram-Schmidt applied twice.  Row ``r`` adds a direction when its
-        part outside the basis passes numpy's default rank tolerance, with
-        ``sqrt(r * n)``, a bound on the norm of the equilibrated stack, for
-        its largest singular value.  From rank n on no row is outside."""
-        self._join()
-        n = self._basis.shape[0]
-        for row in self._upper[self._spanned : self.size, :n] if self.rank < n else ():
-            self._spanned += 1
+        n = scaled.shape[1]
+        joining = np.concatenate([scaled, (self.epsilon / scale)[:, None]], axis=1)
+        self._rows = np.concatenate([self._rows, joining])
+        for r, row in enumerate(self._rows[self.size :, :n] if self.rank < n else (), self.size + 1):
             basis = self._basis[: self.rank]
             part = row - (row @ basis.T) @ basis
             part -= (part @ basis.T) @ basis
             norm = math.sqrt(part @ part)
-            if norm > max(self._spanned, n) * EPS * math.sqrt(self._spanned * n):
+            if norm > max(r, n) * EPS * math.sqrt(r * n):
                 self._basis[self.rank] = part / norm
                 self.rank += 1
                 if self.rank == n:
                     break
-        if self.rank == n:
+        self.size, self._vertex = self._rows.shape[0], None  # the next LP starts at the origin
+        self._inverse = np.linalg.inv(self._rows[:, :n]) if self.size == self.rank == n else None
+
+    def unbounded(self, scaled: np.ndarray) -> list[bool]:
+        """Whether each of the equilibrated rows ``scaled`` lies clearly
+        outside the row space of the band's rows, which makes its LP
+        unbounded: whether its part outside the basis :meth:`extend` grew has
+        an entry above ``UNBOUNDED_RESIDUAL``; smaller parts are left to the
+        simplex.  From rank n on no row is outside."""
+        self._join()
+        if self.rank == self._basis.shape[0]:
             return [False] * scaled.shape[0]
         basis = self._basis[: self.rank]
         return (np.abs(scaled - (scaled @ basis.T) @ basis).max(axis=1) > UNBOUNDED_RESIDUAL).tolist()
@@ -202,25 +200,18 @@ class Band:
         ``scaled``, the objective as :func:`equilibrate` scales it: an
         :class:`LpOutcome` with status ``optimal`` (point and value set) or
         ``unbounded``.  Raises :class:`OverflowError` when the maximum has
-        no float value.  It starts from the vertex the band's previous
-        simplex LP left, or at the origin on a fresh band or after rows
-        join.  Once :meth:`unbounded` has found rank n for a band of
-        exactly n rows ``G`` (as :meth:`maxima` does before its LPs), the
-        maximizer is ``G^-1 copysign(h, scaled G^-1)`` in closed form, with
-        0 pivots, from one inverse of ``G`` that serves all its LPs."""
+        no float value.  A band of n rows ``G`` at rank n answers in closed
+        form, ``x = G^-1 copysign(h, scaled G^-1)`` with 0 pivots; any other
+        LP starts from the vertex the band's previous simplex LP left, or at
+        the origin on a fresh band or after rows join."""
         self._join()
-        n = objective.shape[0]
-        if self.size == self.rank == n:  # a parallelepiped: its vertex in closed form
-            if self._inverse is None:  # G^-1; once rows join, the band is square no more
-                self._inverse = np.linalg.inv(self._upper[:n, :n])
+        if self._inverse is not None:  # a parallelepiped: its vertex in closed form
             with np.errstate(over="ignore", invalid="ignore"):
-                x = self._inverse @ np.copysign(self._upper[:n, -1], scaled @ self._inverse)
+                x = self._inverse @ np.copysign(self._rows[:, -1], scaled @ self._inverse)
             return _optimum(objective, x, 0)
-        if self._vertex is None:  # the origin of [G | -G | h], until the next extend
-            upper = self._upper[: self.size]
-            body = np.concatenate([upper, -upper])
-            body[self.size :, -1] *= -1.0  # -rows keep their bounds
-            self._vertex = _origin(body)
+        if self._vertex is None:  # the origin, until the next extend
+            g, h = self._rows[:, :-1], self._rows[:, -1]
+            self._vertex = _origin(np.concatenate([g, -g]), np.concatenate([h, h]))
         return _solve(self._vertex, objective, scaled)
 
     def maxima(self, rows: np.ndarray) -> Iterator[float]:
@@ -254,18 +245,18 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
     of ``50 * (variables + constraints)``.  Raises :class:`OverflowError`
     when the maximum has no float value."""
     g, row_scale = equilibrate(g)
-    body = np.hstack([g, -g, (h / row_scale)[:, None]])
-    return _solve(_origin(body), c, equilibrate(c[None])[0][0], iteration_budget)
+    return _solve(_origin(g, h / row_scale), c, equilibrate(c[None])[0][0], iteration_budget)
 
 
-def _origin(body: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
-    """The simplex state at the origin of the equilibrated tableau body
-    ``[G | -G | h]``, copied: the tableau with a row for the reduced costs,
-    the basic and nonbasic labels, and the floor a row's pivot-column entry
-    must pass in the ratio test (inf in a row whose structural is basic)."""
-    r, n = body.shape[0], body.shape[1] // 2
+def _origin(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
+    """The simplex state at the origin of ``g x <= h``, x sign-free, from
+    the equilibrated rows ``g`` and their scaled bounds ``h``: the tableau
+    ``[g | -g | h]`` with a row for the reduced costs, the basic and
+    nonbasic labels, and the floor a row's pivot-column entry must pass in
+    the ratio test (inf in a row whose structural is basic)."""
+    r, n = g.shape
     tab = np.empty((r + 1, 2 * n + 1))
-    tab[:-1] = body
+    np.concatenate([g, -g, h[:, None]], axis=1, out=tab[:-1])
     return tab, list(range(2 * n, 2 * n + r)), list(range(2 * n)), np.full(r, PIVOT_TOL)
 
 

@@ -63,6 +63,21 @@ def test_system_validation():
         SystemSpec([[1.0]], [[1.0], [2.0]], [[1.0]], [0.0], 1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SystemSpec([[1.0, 0.0], [0.0, 1.0]], None, [[1.0, 0.0, 0.0]], [0.0, 0.0], 1.0),
+     "c has 3 columns, expected 2"),
+    (lambda: closed_loop(two_state(), Gain([[0.32, 0.16]])), "gain is 1x2, expected 2x2"),
+    (lambda: simulate(two_state(), two_state_gain(), alpha=1.0, beta=[0.0], steps=2),
+     "beta has length 1, expected 2"),
+    (lambda: simulate(two_state(), Gain([[0.3, 0.1, 0.0]]), a_tilde=[[0.9, 0.0], [0.2, 0.1]],
+                      alpha=1.0, beta=[0.0, 0.0], steps=2),
+     "gain has 3 columns, expected 2"),
+])
+def test_shape_mismatches_name_the_expected_shape(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_closed_loop_frozen():
     assert np.allclose(
         closed_loop(two_state(), two_state_gain()), [[0.9, 0.0], [0.2, 0.1]]

@@ -36,6 +36,18 @@ def load_fixture_dict(name: str) -> dict:
         return json.load(fh)
 
 
+def ex1_with(**changes) -> str:
+    """ex1's problem file as text, with each keyword field set to its value,
+    or removed when the value is None."""
+    data = load_fixture_dict("ex1")
+    for key, value in changes.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    return json.dumps(data)
+
+
 # ---------------------------------------------------------------- parsing
 
 
@@ -199,11 +211,48 @@ def test_bad_file_or_flag_exits_1_without_traceback(tmp_path, capsys):
          f"--grid must be at most {sys.maxsize}"),
         (["simulate", fixture("ex1"), "--alpha=1", "--beta=0,0", "--steps", str(10**400)],
          f"steps must be at most {sys.maxsize}"),
+        (["region", fixture("ex1"), "--xmin=2", "--xmax=2", "--ymin=-2", "--ymax=2",
+          "--grid", "3"], "ranges must satisfy xmin < xmax and ymin < ymax"),
     ):
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"gaincap: error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "problem file must contain a JSON object"),
+    ("{", "problem file is not valid JSON: "
+          "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (ex1_with(m=None), "field 'm' is required when 'B' is present"),
+    (ex1_with(B=None, K=None), "field 'm' is given but 'B' is missing"),
+    (ex1_with(tau0=[0.3]), "field 'tau0' must be a flat array of length 2"),
+    (ex1_with(options=[]), "field 'options' must be an object"),
+])
+def test_bad_problem_file_exits_input(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gaincap: error: {message}\n"
+
+
+@pytest.mark.parametrize("command, options", [
+    (["simulate", "--alpha=1", "--beta=0,0", "--steps", str(10**15)], {}),
+    (["analyze"], {"horizon": 10**15}),
+    (["region", "--xmin=-2", "--xmax=2", "--ymin=-2", "--ymax=2", "--grid", str(10**15)], {}),
+])
+def test_count_past_memory_exits_input(command, options, tmp_path, capsys):
+    # a count whose first array exceeds any address space is refused by the
+    # allocator at once, so nothing is allocated; numpy's MemoryError is
+    # one error line, with no traceback
+    path = tmp_path / "count.json"
+    path.write_text(ex1_with(options=options), encoding="utf-8")
+    assert main([command[0], str(path), *command[1:]]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gaincap: error: ") and captured.err.count("\n") == 1
 
 # ---------------------------------------------------------------- determine
 
@@ -450,7 +499,35 @@ def test_check_gain_uncertified(capsys):
     assert report["admissible"] is True
 
 
+@pytest.mark.parametrize("name, max_iter, exit_code", [
+    ("ex1", 1, EXIT_LIMIT), ("ex9", 3, EXIT_INADMISSIBLE),
+])
+def test_check_gain_text_names_the_iteration_limit(name, max_iter, exit_code, capsys):
+    code = main(["check-gain", fixture(name), "--max-iter", str(max_iter)])
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert out.splitlines()[-1] == (
+        f"capacity set: iteration limit after {max_iter} steps; verdict uses the outer truncation"
+    )
+
+
 # ---------------------------------------------------------------- analyze
+
+
+@pytest.mark.parametrize("name, b, lines", [
+    ("ex1", None, ["controllable: yes", "output-row decay index: 1"]),
+    ("ex6", [[0.0, 0.0], [0.0, 0.0]],
+     ["controllable: no", "output-row decay index: none within horizon"]),
+])
+def test_analyze_text(name, b, lines, tmp_path, capsys):
+    data = load_fixture_dict(name)
+    data["B"] = b or data["B"]
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["analyze", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert (out[0], out[-1]) == tuple(lines)
 
 
 def test_analyze_json(capsys):

@@ -39,7 +39,11 @@ def test_problem_validation():
 
 
 def test_maximize_solves_the_stacked_band():
+    # maximize over the band of s is the general simplex over [s; -s] bit
+    # for bit, but on n x n rows at rank n, which it answers in closed form
+    # with 0 pivots, within 1e-12 of the simplex
     rng = np.random.default_rng(11)
+    squares = 0
     for _ in range(60):
         n = int(rng.integers(1, 6))
         s = rng.integers(-3, 4, size=(int(rng.integers(1, 2 * n + 1)), n)).astype(float)
@@ -47,11 +51,17 @@ def test_maximize_solves_the_stacked_band():
         eps = float(rng.uniform(0.0, 2.0))
         band = maximize(c, s, eps)
         general = simplex(c, np.vstack([s, -s]), np.full(2 * s.shape[0], eps))
+        if s.shape[0] == equilibrated_rank(s) == n:
+            squares += 1
+            assert (band.status, band.pivots) == (general.status, 0) == (OPTIMAL, 0)
+            assert band.value == pytest.approx(general.value, rel=1e-12, abs=0.0)
+            continue
         assert (band.status, band.value, band.pivots) == (
             general.status, general.value, general.pivots
         )
         if band.status == OPTIMAL:
             assert band.point.tobytes() == general.point.tobytes()
+    assert squares > 0
 
 
 def test_maximize_takes_integer_and_nested_list_rows():
@@ -71,8 +81,10 @@ def test_one_scaling_of_the_objective_changes_no_bit():
     # the first LP over a fresh band has the value, point and pivots of the
     # general simplex, which scales its own objective, on bands with a row
     # of scale 1e-300 and a zero row and on objectives of mixed sign and
-    # magnitude
+    # magnitude.  Over n rows at rank n, answered in closed form, it has
+    # those of maximize, which scales its own objective too
     rng = np.random.default_rng(37)
+    squares = 0
     for trial in range(120):
         n = int(rng.integers(2, 6))
         s = rng.standard_normal((int(rng.integers(1, 3 * n)), n))
@@ -83,11 +95,15 @@ def test_one_scaling_of_the_objective_changes_no_bit():
         epsilon = float(rng.uniform(0.1, 2.0))
         objectives = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-150, 150, size=(3, n))
         objectives[0] = 0.0
+        square = s.shape[0] == equilibrated_rank(s) == n
+        squares += square
         for c, scaled in zip(objectives, equilibrate(objectives)[0]):
             outcomes = []
             for solve in (
                 lambda: Band(s, epsilon).maximize(c, scaled),
-                lambda: _simplex(c, np.vstack([s, -s]), np.full(2 * s.shape[0], epsilon)),
+                lambda: maximize(c, s, epsilon) if square else _simplex(
+                    c, np.vstack([s, -s]), np.full(2 * s.shape[0], epsilon)
+                ),
             ):
                 try:
                     out = solve()
@@ -97,6 +113,9 @@ def test_one_scaling_of_the_objective_changes_no_bit():
                     point = None if out.point is None else out.point.tobytes()
                     outcomes.append((out.status, out.value, point, out.pivots))
             assert outcomes[0] == outcomes[1]
+            if square and not isinstance(outcomes[0], str):
+                assert outcomes[0][3] == 0  # pivots: the closed form
+    assert squares > 0
 
 
 def test_maximize_refuses_unscalable_band_row():
@@ -126,9 +145,10 @@ def equilibrated_rank(rows):
 
 def test_band_basis_rank_matches_matrix_rank():
     # the band grows its row space's basis by Gram-Schmidt as blocks join;
-    # its rank is numpy's over the equilibrated stack after every block, on
-    # stacks with dependent rows, rows 1e-7 apart, zero rows and rows of
-    # scale 1e-300, and the basis stays orthonormal
+    # its rank is numpy's over the equilibrated stack right after every
+    # join, before any rank test or LP, on stacks with dependent rows, rows
+    # 1e-7 apart, zero rows and rows of scale 1e-300, and the basis stays
+    # orthonormal
     rng = np.random.default_rng(23)
     for trial in range(200):
         n = int(rng.integers(2, 8))
@@ -146,7 +166,6 @@ def test_band_basis_rank_matches_matrix_rank():
         for block in np.array_split(s, int(rng.integers(1, r + 1))):
             scaled, scale = equilibrate(block)
             band.extend(scaled, scale)
-            band.unbounded(scaled)
             assert band.rank == equilibrated_rank(s[: band.size])
         basis = band._basis[: band.rank]
         assert np.allclose(basis @ basis.T, np.eye(band.rank), rtol=0.0, atol=1e-12)
@@ -628,6 +647,24 @@ def test_square_band_maximum_past_the_float_range_raises():
             list(band.maxima(np.array([c], dtype=float)))
         assert band.size == band.rank == 2
     assert list(Band(np.eye(2), 1e10).maxima(np.array([[1e298, 0.0]]))) == [1e308]
+
+
+def test_every_lp_over_a_square_band_takes_the_closed_form():
+    # a band settles its rows where they join, so over n rows at rank n a
+    # direct Band.maximize, with no rank test before it, and maximize give
+    # 0 pivots and bit for bit the values of Band.maxima over the same rows
+    rng = np.random.default_rng(67)
+    for n in range(1, 6):
+        for _ in range(20):
+            s = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+            epsilon = float(rng.uniform(0.1, 2.0))
+            rows = rng.standard_normal((3, n))
+            band, outcomes = Band(s, epsilon), []
+            for row, row_s in zip(rows, equilibrate(rows)[0]):
+                outcomes += [band.maximize(row, row_s), maximize(row, s, epsilon)]
+            assert {(out.status, out.pivots) for out in outcomes} == {(OPTIMAL, 0)}
+            expected = np.repeat(list(Band(s, epsilon).maxima(rows)), 2)
+            assert np.array([out.value for out in outcomes]).tobytes() == expected.tobytes()
 
 
 def test_stop_test_over_n_stored_rows(monkeypatch):

@@ -12,9 +12,13 @@ square band of n rows at rank n.  ``warm LPs`` counts the LPs that started
 away from the origin, from the vertex of their band's previous LP: the calls
 of ``_reprice``, which prices each simplex LP once, less those of
 ``_origin``, which builds the origin of a fresh or grown band for its first
-(a checkout without ``_origin`` reprices only the warm LPs).  gaincap and
-the workloads come from the checkout, no bytecode is written, and a layer
-the checkout lacks prints ``-``.
+(a checkout without ``_origin`` reprices only the warm LPs).  A band
+settles its rows when they join, so ``Band.extend`` holds the Gram-Schmidt
+of the row-space basis and the inverse of a square band, and
+``Band.unbounded``'s time less the joins it makes is its residual test (a
+checkout with ``Band._spanned`` grows the basis in ``Band.unbounded``
+instead).  gaincap and the workloads come from the checkout, no bytecode
+is written, and a layer the checkout lacks prints ``-``.
 """
 
 import sys
