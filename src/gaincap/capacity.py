@@ -357,11 +357,12 @@ def _step(band: Band, rows: np.ndarray, stop_tol: float, step: int) -> Iteration
     """One convergence test: the maxima of every signed row of ``rows`` over
     ``band``, stopped when all are within ``epsilon * (1 + stop_tol)``.  The
     band is centrally symmetric, so each row is maximized once and its
-    negation recorded with the same maximum; a failed join stops at
-    constraint 1."""
+    negation recorded with the same maximum, the value of its outcome or
+    inf when it has none; a failed join stops at constraint 1."""
     values = []
     try:
-        for value in band.maxima(rows):
+        for outcome in band.maxima(rows):
+            value = math.inf if outcome.value is None else outcome.value
             values += [value, value]
     except (SimplexBudgetError, OverflowError) as err:
         message = f"LP solver gave up: {err}"

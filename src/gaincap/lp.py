@@ -5,24 +5,24 @@ over a band ``|s x| <= epsilon``, x sign-free, stated as
 ``[s; -s] x <= epsilon``.  As epsilon >= 0 the origin is feasible, so the
 all-slack basis at the origin is the start vertex and no phase 1 is needed.
 A :class:`Band` holds the band of a stack that grows by one block of rows
-per step, and :meth:`Band.maxima` gives each row of the next block its
-maximum.  Each block is equilibrated (each row scaled by its largest
-absolute entry) once, by :func:`equilibrate`, for its LPs and its join;
-that is exactly invertible, leaves the feasible set untouched, and keeps
-the tableau well-conditioned when rows span many orders of magnitude.
+per step, and :meth:`Band.maxima`, the one door into its LPs, yields an
+:class:`LpOutcome` for each row of the next block.  Each block is
+equilibrated (each row scaled by its largest absolute entry) once, by
+:func:`equilibrate`, for its LPs and its join; that is exactly invertible,
+leaves the feasible set untouched, and keeps the tableau well-conditioned
+when rows span many orders of magnitude.
 
-A band settles its rows where they join, in :meth:`Band.extend`, so an
-LP's answer does not depend on who asks.  While the stack has rank below n
-the band is a cylinder: each joining row grows an orthonormal basis of the
-row space by Gram-Schmidt, with no SVD, and a row clearly outside that
-space is unbounded (inf) without a simplex.  A band of exactly n rows at
-rank n (a search's step n/p - 1 when p divides n) is a parallelepiped and
-needs no simplex either: with ``z = G x`` its LP is ``max y . z`` over the
-box ``|z| <= h``, ``y = c G^-1``, whose maximum is the vertex ``z = h``
-with the signs of ``y`` (either sign where ``y`` is 0).  One inverse of
-``G``, taken at the join, serves every LP over the band, through
-:meth:`Band.maxima`, :meth:`Band.maximize` or :func:`maximize` alike, each
-reported with 0 pivots.
+A band settles its rows where they join, in :meth:`Band.extend`.  While
+the stack has rank below n the band is a cylinder: each joining row grows
+an orthonormal basis of the row space by Gram-Schmidt, with no SVD, and
+:meth:`Band.maxima` answers a row clearly outside that space as unbounded,
+with 0 pivots and no LP (the rank test).  A band of exactly n rows at rank
+n (a search's step n/p - 1 when p divides n) is a parallelepiped and needs
+no simplex either: with ``z = G x`` its LP is ``max y . z`` over the box
+``|z| <= h``, ``y = c G^-1``, whose maximum is the vertex ``z = h`` with
+the signs of ``y`` (either sign where ``y`` is 0).  One inverse of ``G``,
+taken at the join, serves every LP over the band, each reported with 0
+pivots.
 
 Every other LP over a band starts from the vertex the one before it left,
 which is feasible as the band is the same, with the reduced costs of its
@@ -31,8 +31,9 @@ LP starts at the origin, the all-slack basis where ``cost_B`` is 0 and
 that row is the objective's own, only on a fresh band or after rows join.
 When the new objective is negative at its start vertex, the LP maximizes
 its negation instead and negates the point: the band is centrally
-symmetric, so both have the same maximum.  :func:`maximize` and
-:func:`_simplex` each solve one LP over a band or program of their own.
+symmetric, so both have the same maximum.  :func:`maximize` is the first
+outcome of a fresh band's :meth:`Band.maxima`, and :func:`_simplex` solves
+one LP over a program of its own.
 
 All simplex state lives in one compact tableau that keeps only the
 nonbasic columns: each free variable is split into two nonnegative ones
@@ -97,7 +98,7 @@ class SimplexBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Result of :func:`maximize`; point/value are set only when optimal, and
+    """Result of one LP; point/value are set only when optimal, and
     ``pivots`` counts the pivots taken on either outcome."""
 
     status: str
@@ -136,11 +137,12 @@ def equilibrate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class Band:
     """The band ``|s x| <= epsilon`` of a stack of rows ``s`` that grows by
-    :meth:`extend`, with what every LP over it shares.
+    :meth:`extend`, with what every LP over it shares; :meth:`maxima` asks
+    its LPs and yields an :class:`LpOutcome` per row.
 
     Each row joins equilibrated (see :func:`equilibrate`), with its bound
-    scaled to ``epsilon / scale``, and ``s`` (as float64) at the first rank
-    test or LP.  Raises :class:`ValueError` unless epsilon >= 0 is finite.
+    scaled to ``epsilon / scale``, and ``s`` (as float64) at the first
+    :meth:`maxima`.  Raises :class:`ValueError` unless epsilon >= 0 is finite.
     """
 
     def __init__(self, s: np.ndarray, epsilon: float):
@@ -151,7 +153,7 @@ class Band:
         self._rows = np.empty((0, n + 1))  # [rows | bounds]
         self._basis = np.empty((n, n))  # the first `rank` rows span the row space
         self._vertex = self._inverse = None  # the last LP's simplex state; G^-1 if square
-        self._joining = equilibrate(s)  # joins before the next rank test or LP
+        self._joining = equilibrate(s)  # joins at the next maxima
 
     def extend(self, scaled: np.ndarray, scale: np.ndarray) -> None:
         """Let the rows ``scaled * scale[:, None]`` join the band, given as
@@ -160,7 +162,7 @@ class Band:
         adds a direction when its part outside the basis passes numpy's
         default rank tolerance, with ``sqrt(r * n)``, a bound on the norm of
         the equilibrated stack, for its largest singular value.  A band of n
-        rows at rank n keeps their inverse for :meth:`maximize`.  Raises
+        rows at rank n keeps their inverse for its closed form.  Raises
         :class:`OverflowError`, before any row joins, when epsilon over the
         largest entry of a row has no float value (the tableau would hold inf)."""
         # the largest scaled bound comes from the smallest row scale; a
@@ -183,28 +185,34 @@ class Band:
         self.size, self._vertex = self._rows.shape[0], None  # the next LP starts at the origin
         self._inverse = np.linalg.inv(self._rows[:, :n]) if self.size == self.rank == n else None
 
-    def unbounded(self, scaled: np.ndarray) -> list[bool]:
-        """Whether each of the equilibrated rows ``scaled`` lies clearly
-        outside the row space of the band's rows, which makes its LP
-        unbounded: whether its part outside the basis :meth:`extend` grew has
-        an entry above ``UNBOUNDED_RESIDUAL``; smaller parts are left to the
-        simplex.  From rank n on no row is outside."""
-        self._join()
-        if self.rank == self._basis.shape[0]:
-            return [False] * scaled.shape[0]
-        basis = self._basis[: self.rank]
-        return (np.abs(scaled - (scaled @ basis.T) @ basis).max(axis=1) > UNBOUNDED_RESIDUAL).tolist()
+    def maxima(self, rows: np.ndarray) -> Iterator[LpOutcome]:
+        """Yield, for each float64 row ``c`` of ``rows``, the maximum of ``c .
+        x`` over the band, x sign-free, as an :class:`LpOutcome`, ``optimal``
+        (point and value set) or ``unbounded``.  ``rows`` are equilibrated
+        once, for their LPs and, once all are yielded, for their join at the
+        next call; a join raises as :meth:`extend` does.  A row whose part
+        outside the basis :meth:`extend` grew has an entry above
+        ``UNBOUNDED_RESIDUAL`` is unbounded with 0 pivots and no LP (the rank
+        test); smaller parts are left to :meth:`_maximize`."""
+        scaled, scale = equilibrate(rows)
+        if self._joining is not None:  # rows of the constructor or the last maxima
+            self.extend(*self._joining)
+            self._joining = None
+        outside = [False] * len(rows)
+        if self.rank < self._basis.shape[0]:
+            basis = self._basis[: self.rank]
+            outside = np.abs(scaled - (scaled @ basis.T) @ basis).max(axis=1) > UNBOUNDED_RESIDUAL
+        for row, row_s, out in zip(rows, scaled, outside):
+            yield LpOutcome(UNBOUNDED) if out else self._maximize(row, row_s)
+        self._joining = scaled, scale
 
-    def maximize(self, objective: np.ndarray, scaled: np.ndarray) -> LpOutcome:
-        """Maximize ``objective . x`` over the band, x sign-free, priced by
-        ``scaled``, the objective as :func:`equilibrate` scales it: an
-        :class:`LpOutcome` with status ``optimal`` (point and value set) or
-        ``unbounded``.  Raises :class:`OverflowError` when the maximum has
-        no float value.  A band of n rows ``G`` at rank n answers in closed
-        form, ``x = G^-1 copysign(h, scaled G^-1)`` with 0 pivots; any other
-        LP starts from the vertex the band's previous simplex LP left, or at
-        the origin on a fresh band or after rows join."""
-        self._join()
+    def _maximize(self, objective: np.ndarray, scaled: np.ndarray) -> LpOutcome:
+        """The LP of ``objective`` for :meth:`maxima`, priced by ``scaled``,
+        its equilibrated row.  n rows ``G`` at rank n answer in closed form,
+        ``x = G^-1 copysign(h, scaled G^-1)`` with 0 pivots; any other LP
+        starts where the band's previous simplex LP left, or at the origin
+        after rows join.  Raises :class:`OverflowError` when the maximum has
+        no float value."""
         if self._inverse is not None:  # a parallelepiped: its vertex in closed form
             with np.errstate(over="ignore", invalid="ignore"):
                 x = self._inverse @ np.copysign(self._rows[:, -1], scaled @ self._inverse)
@@ -214,29 +222,11 @@ class Band:
             self._vertex = _origin(np.concatenate([g, -g]), np.concatenate([h, h]))
         return _solve(self._vertex, objective, scaled)
 
-    def maxima(self, rows: np.ndarray) -> Iterator[float]:
-        """Yield the maximum of each float64 row of ``rows`` over the band, inf
-        when unbounded, by :meth:`unbounded` or :meth:`maximize`.  ``rows`` are
-        equilibrated once, for their LPs and, once all are yielded, for their
-        join at the next call; a join raises as :meth:`extend` does.  Each
-        LP starts from the vertex the band's previous one left, the first
-        after a join at the origin."""
-        scaled, scale = equilibrate(rows)
-        for row, row_s, outside in zip(rows, scaled, self.unbounded(scaled)):
-            outcome = None if outside else self.maximize(row, row_s)
-            yield math.inf if outside or outcome.status == UNBOUNDED else outcome.value
-        self._joining = scaled, scale
-
-    def _join(self) -> None:
-        if self._joining is not None:  # rows of the constructor or the last maxima
-            self.extend(*self._joining)
-            self._joining = None
-
 
 def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
-    """:meth:`Band.maximize` over the band ``|s x| <= epsilon``, of float64 inputs."""
-    c = np.asarray(objective, dtype=float)
-    return Band(s, epsilon).maximize(c, equilibrate(c[None])[0][0])
+    """The one outcome of :meth:`Band.maxima` over a fresh band ``|s x| <=
+    epsilon``, of float64 inputs, rank test included."""
+    return next(Band(s, epsilon).maxima(np.asarray(objective, dtype=float)[None]))
 
 
 def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None) -> LpOutcome:

@@ -863,7 +863,7 @@ def test_one_lp_per_output_row(name, monkeypatch):
     # outside the row space of the stack is unbounded without a solve, and
     # every other row is solved
     problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
-    original = gaincap.lp.Band.maximize
+    original = gaincap.lp.Band._maximize
     calls = {}
 
     def counting_maximize(band, objective, scaled):
@@ -871,7 +871,7 @@ def test_one_lp_per_output_row(name, monkeypatch):
         calls.setdefault(band.size, []).append(objective.tobytes())
         return original(band, objective, scaled)
 
-    monkeypatch.setattr(gaincap.lp.Band, "maximize", counting_maximize)
+    monkeypatch.setattr(gaincap.lp.Band, "_maximize", counting_maximize)
     loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {}
     cap = determine(
         problem.system, problem.gain, **loop,
@@ -921,19 +921,22 @@ def rank_test_loops(seed, count):
 
 def assert_matches_the_primal(sys_, cap):
     """Every recorded maximum, skipped or solved, is bit for bit that of a
-    fresh band over that step's stack, inf exactly where the cold primal is
-    unbounded, and within 1e-9 of its maximum elsewhere; returns the
-    skipped and the finite maxima below full rank."""
+    fresh band's outcome over that step's stack, inf exactly where the cold
+    primal over ``[S; -S] x <= epsilon``, with neither the rank test nor
+    the closed form, is unbounded, and within 1e-9 of its maximum
+    elsewhere; returns the skipped and the finite maxima below full rank."""
     p, n = sys_.p, sys_.n
     rows = sensitivity_rows(sys_, cap.a_tilde, len(cap.history))
     skipped = finite = 0
     for record in cap.history:
         stack = rows[: p * (record.step + 1)]
         block = rows[p * (record.step + 1) : p * (record.step + 2)]
-        fresh = list(gaincap.lp.Band(stack, sys_.epsilon).maxima(block))
+        fresh = [math.inf if out.value is None else out.value
+                 for out in gaincap.lp.Band(stack, sys_.epsilon).maxima(block)]
         assert np.array(record.values).tobytes() == np.repeat(fresh, 2).tobytes()
+        g, h = np.vstack([stack, -stack]), np.full(2 * stack.shape[0], sys_.epsilon)
         for value, row in zip(record.values[0::2], block):
-            outcome = gaincap.lp.maximize(row, stack, sys_.epsilon)
+            outcome = gaincap.lp._simplex(row, g, h)
             if outcome.status == gaincap.lp.UNBOUNDED:
                 assert value == math.inf
             else:
@@ -1028,7 +1031,7 @@ def test_determine_pivot_count_tripwire(monkeypatch):
     a_tilde = 0.99 * q * np.sign(np.diag(r))
     c = rng.standard_normal((2, 8))
     c /= np.linalg.norm(c, axis=1, keepdims=True)
-    original = gaincap.lp.Band.maximize
+    original = gaincap.lp.Band._maximize
     pivots = []
 
     def counting_maximize(band, objective, scaled):
@@ -1036,7 +1039,7 @@ def test_determine_pivot_count_tripwire(monkeypatch):
         pivots.append(outcome.pivots)
         return outcome
 
-    monkeypatch.setattr(gaincap.lp.Band, "maximize", counting_maximize)
+    monkeypatch.setattr(gaincap.lp.Band, "_maximize", counting_maximize)
     cap = determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
     assert (cap.k0, cap.status, len(pivots)) == (47, DETERMINED, 90)
     assert sum(pivots) == 1160

@@ -41,9 +41,10 @@ def test_problem_validation():
 def test_maximize_solves_the_stacked_band():
     # maximize over the band of s is the general simplex over [s; -s] bit
     # for bit, but on n x n rows at rank n, which it answers in closed form
-    # with 0 pivots, within 1e-12 of the simplex
+    # with 0 pivots, within 1e-12 of the simplex, and on a row outside the
+    # row space of s, which the rank test answers unbounded with 0 pivots
     rng = np.random.default_rng(11)
-    squares = 0
+    squares = outside = 0
     for _ in range(60):
         n = int(rng.integers(1, 6))
         s = rng.integers(-3, 4, size=(int(rng.integers(1, 2 * n + 1)), n)).astype(float)
@@ -56,12 +57,16 @@ def test_maximize_solves_the_stacked_band():
             assert (band.status, band.pivots) == (general.status, 0) == (OPTIMAL, 0)
             assert band.value == pytest.approx(general.value, rel=1e-12, abs=0.0)
             continue
+        if outside_the_row_space(s, c):
+            outside += 1
+            assert band == LpOutcome(UNBOUNDED) and general.status == UNBOUNDED
+            continue
         assert (band.status, band.value, band.pivots) == (
             general.status, general.value, general.pivots
         )
         if band.status == OPTIMAL:
             assert band.point.tobytes() == general.point.tobytes()
-    assert squares > 0
+    assert squares > 0 and outside > 0
 
 
 def test_maximize_takes_integer_and_nested_list_rows():
@@ -78,13 +83,15 @@ def test_maximize_takes_integer_and_nested_list_rows():
 
 def test_one_scaling_of_the_objective_changes_no_bit():
     # the band's LPs take each objective row scaled once, with its block;
-    # the first LP over a fresh band has the value, point and pivots of the
-    # general simplex, which scales its own objective, on bands with a row
-    # of scale 1e-300 and a zero row and on objectives of mixed sign and
-    # magnitude.  Over n rows at rank n, answered in closed form, it has
-    # those of maximize, which scales its own objective too
+    # the first LP of a block over a fresh band has the value, point and
+    # pivots of the general simplex, which scales its own objective, on
+    # bands with a row of scale 1e-300 and a zero row and on objectives of
+    # mixed sign and magnitude, but for a row outside the band's row space,
+    # which the rank test answers unbounded with 0 pivots.  Over n rows at
+    # rank n, answered in closed form, it has those of maximize, which
+    # scales its own objective alone
     rng = np.random.default_rng(37)
-    squares = 0
+    squares = outside = 0
     for trial in range(120):
         n = int(rng.integers(2, 6))
         s = rng.standard_normal((int(rng.integers(1, 3 * n)), n))
@@ -97,10 +104,10 @@ def test_one_scaling_of_the_objective_changes_no_bit():
         objectives[0] = 0.0
         square = s.shape[0] == equilibrated_rank(s) == n
         squares += square
-        for c, scaled in zip(objectives, equilibrate(objectives)[0]):
+        for i, c in enumerate(objectives):
             outcomes = []
             for solve in (
-                lambda: Band(s, epsilon).maximize(c, scaled),
+                lambda: next(Band(s, epsilon).maxima(objectives[i:])),
                 lambda: maximize(c, s, epsilon) if square else _simplex(
                     c, np.vstack([s, -s]), np.full(2 * s.shape[0], epsilon)
                 ),
@@ -112,10 +119,14 @@ def test_one_scaling_of_the_objective_changes_no_bit():
                 else:
                     point = None if out.point is None else out.point.tobytes()
                     outcomes.append((out.status, out.value, point, out.pivots))
+            if outside_the_row_space(s, c):
+                outside += 1
+                assert outcomes[0] == (UNBOUNDED, None, None, 0) and outcomes[1][0] == UNBOUNDED
+                continue
             assert outcomes[0] == outcomes[1]
             if square and not isinstance(outcomes[0], str):
                 assert outcomes[0][3] == 0  # pivots: the closed form
-    assert squares > 0
+    assert squares > 0 and outside > 0
 
 
 def test_maximize_refuses_unscalable_band_row():
@@ -141,6 +152,24 @@ def test_ratio_past_the_float_range_never_blocks():
 def equilibrated_rank(rows):
     scale = np.abs(rows).max(axis=1, keepdims=True)
     return np.linalg.matrix_rank(rows / np.where(scale == 0.0, 1.0, scale))
+
+
+def outside_the_row_space(s, c):
+    """Whether the row ``c`` lies outside the row space of ``s``, so that a
+    band over ``s`` answers it by its rank test."""
+    return equilibrated_rank(np.vstack([s, c])) > equilibrated_rank(s)
+
+
+def asked(band, rows):
+    """The outcomes of ``band.maxima(rows)``, taken so that ``rows`` do not
+    join the band, as they would at its next :meth:`Band.maxima` once all
+    are yielded: the rows, zipped first, end the loop."""
+    return [out for _, out in zip(rows, band.maxima(rows))]
+
+
+def values(outcomes):
+    """The maxima of ``outcomes`` as one float array, inf where unbounded."""
+    return np.array([math.inf if out.value is None else out.value for out in outcomes])
 
 
 def test_band_basis_rank_matches_matrix_rank():
@@ -174,10 +203,10 @@ def test_band_basis_rank_matches_matrix_rank():
 def test_band_grown_by_blocks_solves_as_one_stack():
     # a band extended block by block shares one simplex state per stack, and
     # its LPs are bit for bit those of a band over the whole stack at once
-    # that answers the same rows in the same order; a row it finds outside
-    # the stack's row space is unbounded.  A square band of n rows at rank
-    # n answers in closed form, with 0 pivots, within 1e-12 of the whole
-    # stack's simplex
+    # that answers the same rows in the same order; a row outside the
+    # stack's row space is unbounded with 0 pivots.  A square band of n
+    # rows at rank n answers in closed form, with 0 pivots, within 1e-12 of
+    # the whole stack's simplex
     rng = np.random.default_rng(19)
     squares = 0
     for _ in range(40):
@@ -188,10 +217,8 @@ def test_band_grown_by_blocks_solves_as_one_stack():
             blocks.append(rng.standard_normal((int(rng.integers(1, 3)), n)))
             band.extend(*equilibrate(blocks[-1]))
             rows = rng.standard_normal((3, n))
-            scaled = equilibrate(rows)[0]
             stack = Band(np.vstack(blocks), epsilon)
-            for row, row_s, outside in zip(rows, scaled, band.unbounded(scaled)):
-                got, whole = band.maximize(row, row_s), stack.maximize(row, row_s)
+            for row, got, whole in zip(rows, asked(band, rows), asked(stack, rows)):
                 if band.size == band.rank == n:
                     squares += 1
                     assert (got.status, got.pivots) == (OPTIMAL, 0)
@@ -200,7 +227,8 @@ def test_band_grown_by_blocks_solves_as_one_stack():
                     assert (got.status, got.value, got.pivots) == (
                         whole.status, whole.value, whole.pivots
                     )
-                assert not outside or got.status == UNBOUNDED
+                if outside_the_row_space(np.vstack(blocks), row):
+                    assert got == LpOutcome(UNBOUNDED)
     assert squares > 0
 
 
@@ -215,9 +243,9 @@ def test_rows_joining_mid_block_restart_its_lps():
         maxima = band.maxima(block)
         next(maxima)
         band.extend(*equilibrate(5.0 * extra))
-        for value, row in zip(maxima, block[1:]):
+        for out, row in zip(maxima, block[1:]):
             whole = maximize(row, np.vstack([s, 5.0 * extra]), 1.0)
-            assert value == pytest.approx(whole.value, rel=1e-9, abs=0.0)
+            assert out.value == pytest.approx(whole.value, rel=1e-9, abs=0.0)
 
 
 def test_maximum_past_the_float_range_raises():
@@ -434,39 +462,32 @@ def test_block_lps_start_from_the_previous_vertex(monkeypatch):
             s[:, -1] = block[:, -1] = 0.0
             block[1, -1] = 1.0 if trial % 4 == 1 else 1e-8
         epsilon = float(rng.uniform(0.5, 2.0))
-        for value, row in zip(Band(s, epsilon).maxima(block), block):
+        for out, row in zip(Band(s, epsilon).maxima(block), block):
             cold = maximize(row, s, epsilon)
             if cold.status == UNBOUNDED:
-                assert value == math.inf
+                assert out.status == UNBOUNDED
                 unbounded += 1
             else:
-                assert value == pytest.approx(cold.value, rel=1e-9, abs=0.0)
+                assert out.value == pytest.approx(cold.value, rel=1e-9, abs=0.0)
     assert unbounded == 80
     assert mirrored.count(True) > 40 and mirrored.count(False) > 40
 
 
 def test_every_lp_over_a_band_starts_from_its_last_vertex():
-    # a band keeps one simplex state, so direct maximize calls after the
-    # rank test, on the rows maxima solves, yield maxima's values bit for
-    # bit; and the first LP after rows join starts at the grown band's
-    # origin, bit for bit the LP of a fresh band over the whole stack
+    # a band keeps one simplex state, and the first LP after rows join
+    # starts at the grown band's origin: once a block is all yielded, the
+    # next row's LP is bit for bit that of a fresh band over the whole stack
     rng = np.random.default_rng(31)
     for _ in range(60):
         n = int(rng.integers(2, 6))
         s = rng.standard_normal((int(rng.integers(1, 3 * n)), n))
         block = rng.standard_normal((int(rng.integers(2, 5)), n))
         epsilon = float(rng.uniform(0.5, 2.0))
-        band, direct = Band(s, epsilon), Band(s, epsilon)
-        scaled = equilibrate(block)[0]
-        expected = []
-        for row, row_s, outside in zip(block, scaled, direct.unbounded(scaled)):
-            out = None if outside else direct.maximize(row, row_s)
-            expected.append(math.inf if outside or out.status == UNBOUNDED else out.value)
-        assert np.array(list(band.maxima(block))).tobytes() == np.array(expected).tobytes()
-        row = rng.standard_normal(n)
-        row_s = equilibrate(row[None])[0][0]
-        got = band.maximize(row, row_s)
-        whole = Band(np.vstack([s, block]), epsilon).maximize(row, row_s)
+        band = Band(s, epsilon)
+        list(band.maxima(block))
+        row = rng.standard_normal((1, n))
+        got = next(band.maxima(row))
+        whole = next(Band(np.vstack([s, block]), epsilon).maxima(row))
         assert (got.status, got.value, got.pivots) == (whole.status, whole.value, whole.pivots)
         assert (got.point is None) == (whole.point is None)
         assert got.point is None or got.point.tobytes() == whole.point.tobytes()
@@ -547,13 +568,12 @@ def test_survives_wide_coefficient_range():
 
 
 def square_outcomes(s, epsilon, rows):
-    """The outcomes of ``rows`` over the band of the n x n rows ``s``, whose
-    rank the band finds first, as :meth:`Band.maxima` does before its LPs."""
+    """The outcomes of ``rows`` over the band of the n x n rows ``s``, which
+    has rank n."""
     band = Band(s, epsilon)
-    scaled = equilibrate(rows)[0]
-    assert not any(band.unbounded(scaled))
+    outcomes = list(band.maxima(rows))
     assert band.size == band.rank == s.shape[1]
-    return [band.maximize(row, row_s) for row, row_s in zip(rows, scaled)]
+    return outcomes
 
 
 def test_square_band_answers_in_closed_form():
@@ -623,13 +643,10 @@ def test_square_band_grown_past_n_rows_returns_to_the_simplex():
         s, extra, rows = (rng.standard_normal((k, n)) for k in (n, 1, 3))
         epsilon = float(rng.uniform(0.5, 2.0))
         band = Band(s, epsilon)
-        scaled = equilibrate(rows)[0]
-        band.unbounded(scaled)
-        assert all(band.maximize(row, row_s).pivots == 0 for row, row_s in zip(rows, scaled))
+        assert all(out.pivots == 0 for out in asked(band, rows))
         band.extend(*equilibrate(extra))
         stack = Band(np.vstack([s, extra]), epsilon)
-        for row, row_s in zip(rows, scaled):
-            got, whole = band.maximize(row, row_s), stack.maximize(row, row_s)
+        for got, whole in zip(asked(band, rows), asked(stack, rows)):
             assert (got.status, got.value, got.pivots) == (whole.status, whole.value, whole.pivots)
             pivots += got.pivots
     assert pivots > 0
@@ -646,25 +663,23 @@ def test_square_band_maximum_past_the_float_range_raises():
         with pytest.raises(OverflowError, match="maximum left the floating-point range"):
             list(band.maxima(np.array([c], dtype=float)))
         assert band.size == band.rank == 2
-    assert list(Band(np.eye(2), 1e10).maxima(np.array([[1e298, 0.0]]))) == [1e308]
+    assert values(Band(np.eye(2), 1e10).maxima(np.array([[1e298, 0.0]]))).tolist() == [1e308]
 
 
 def test_every_lp_over_a_square_band_takes_the_closed_form():
-    # a band settles its rows where they join, so over n rows at rank n a
-    # direct Band.maximize, with no rank test before it, and maximize give
-    # 0 pivots and bit for bit the values of Band.maxima over the same rows
+    # a band settles its rows where they join, so over n rows at rank n
+    # maximize, one row over a band of its own, and Band.maxima, a block of
+    # rows over one band, give 0 pivots and bit for bit the same values
     rng = np.random.default_rng(67)
     for n in range(1, 6):
         for _ in range(20):
             s = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
             epsilon = float(rng.uniform(0.1, 2.0))
             rows = rng.standard_normal((3, n))
-            band, outcomes = Band(s, epsilon), []
-            for row, row_s in zip(rows, equilibrate(rows)[0]):
-                outcomes += [band.maximize(row, row_s), maximize(row, s, epsilon)]
-            assert {(out.status, out.pivots) for out in outcomes} == {(OPTIMAL, 0)}
-            expected = np.repeat(list(Band(s, epsilon).maxima(rows)), 2)
-            assert np.array([out.value for out in outcomes]).tobytes() == expected.tobytes()
+            alone = [maximize(row, s, epsilon) for row in rows]
+            block = list(Band(s, epsilon).maxima(rows))
+            assert {(out.status, out.pivots) for out in alone + block} == {(OPTIMAL, 0)}
+            assert values(alone).tobytes() == values(block).tobytes()
 
 
 def test_stop_test_over_n_stored_rows(monkeypatch):
