@@ -54,14 +54,17 @@ stands for a sign-free x, so it is free and does not leave: the ratio test
 compares the pivot column with a floor per row, ``PIVOT_TOL`` for a slack
 row and inf for a structural one.  The candidate rows are those whose
 entry exceeds its floor, and the leaving row is, among their ratio ties,
-the one whose basic variable has the smallest label.  A ratio past the
-float range is inf, so it never blocks a finite one; when no ratio is
-finite, or one is NaN, the step has no float value and the simplex
-raises :class:`OverflowError`.  Dantzig's rule can cycle on a degenerate
-vertex, so after half the pivot budget the entering scan switches to
-Bland's rule (the improving column with the smallest label), which with
-that leaving rule never cycles.  A hard budget of ``50 * (variables +
-constraints)`` pivots guards against numerical stalls and raises
+the one whose basic variable has the smallest label.  A band of rank n is
+bounded, so there the floor leaving no candidate means that it refused the
+only pivots there are, not that a ray exists: the slack rows with a
+positive entry are the candidates instead.  A ratio past the float range
+is inf, so it never blocks a finite one; when no ratio is finite, or one
+is NaN, the step has no float value and the simplex raises
+:class:`OverflowError`.  Dantzig's rule can cycle on a degenerate vertex,
+so after half the pivot budget the entering scan switches to Bland's rule
+(the improving column with the smallest label), which with that leaving
+rule never cycles.  A hard budget of ``50 * (variables + constraints)``
+pivots guards against numerical stalls and raises
 :class:`SimplexBudgetError` when exceeded.  The simplex prices the
 equilibrated objective row, scaled once with its block; the reported value
 is recomputed from the caller's own row.
@@ -219,7 +222,8 @@ class Band:
             return _optimum(objective, x, 0)
         if self._vertex is None:  # the origin, until the next extend
             g, h = self._rows[:, :-1], self._rows[:, -1]
-            self._vertex = _origin(np.concatenate([g, -g]), np.concatenate([h, h]))
+            bounded = self.rank == self._basis.shape[0]
+            self._vertex = _origin(np.concatenate([g, -g]), np.concatenate([h, h]), bounded)
         return _solve(self._vertex, objective, scaled)
 
 
@@ -238,16 +242,17 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
     return _solve(_origin(g, h / row_scale), c, equilibrate(c[None])[0][0], iteration_budget)
 
 
-def _origin(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
+def _origin(g: np.ndarray, h: np.ndarray, bounded: bool = False) -> tuple:
     """The simplex state at the origin of ``g x <= h``, x sign-free, from
     the equilibrated rows ``g`` and their scaled bounds ``h``: the tableau
     ``[g | -g | h]`` with a row for the reduced costs, the basic and
-    nonbasic labels, and the floor a row's pivot-column entry must pass in
-    the ratio test (inf in a row whose structural is basic)."""
+    nonbasic labels, the floor a row's pivot-column entry must pass in the
+    ratio test (inf in a row whose structural is basic), and whether the
+    program is known to be bounded, so that it has no ray."""
     r, n = g.shape
     tab = np.empty((r + 1, 2 * n + 1))
     np.concatenate([g, -g, h[:, None]], axis=1, out=tab[:-1])
-    return tab, list(range(2 * n, 2 * n + r)), list(range(2 * n)), np.full(r, PIVOT_TOL)
+    return tab, list(range(2 * n, 2 * n + r)), list(range(2 * n)), np.full(r, PIVOT_TOL), bounded
 
 
 def _reprice(tab: np.ndarray, basis: list, nonbasic: list, c_s: np.ndarray) -> bool:
@@ -273,7 +278,7 @@ def _solve(state: tuple, c: np.ndarray, c_s: np.ndarray, iteration_budget=None) 
     it or an earlier LP over the same band left it, priced by the
     equilibrated objective ``c_s`` (see :func:`_reprice`) and valued by
     ``c``; ``state`` is left at this LP's last vertex."""
-    tab, basis, nonbasic, floor = state
+    tab, basis, nonbasic, floor, bounded = state
     n, r = c.shape[0], tab.shape[0] - 1
     budget = 50 * (n + r) if iteration_budget is None else int(iteration_budget)
     mirrored = _reprice(tab, basis, nonbasic, c_s)
@@ -296,6 +301,8 @@ def _solve(state: tuple, c: np.ndarray, c_s: np.ndarray, iteration_budget=None) 
                 col = int(np.argmin(np.where(improving, nonbasic, 2 * n + r)))
             column = tab[:-1, col]
             candidates = (column > floor).nonzero()[0]
+            if not candidates.size and bounded:  # the floor refused the only pivots there are
+                candidates = ((column > 0.0) & (floor < np.inf)).nonzero()[0]
             if not candidates.size:
                 return LpOutcome(UNBOUNDED, pivots=pivots)
             ratios = np.maximum(rhs[candidates], 0.0) / column[candidates]

@@ -632,6 +632,28 @@ def test_square_band_of_nearly_dependent_rows():
                 assert out.value == pytest.approx(exact, rel=bound, abs=0.0)
 
 
+def test_band_of_nearly_dependent_rows_at_rank_n_is_bounded():
+    # n + 1 rows with row 1 within delta of row 0 and the last row 2 * row 0
+    # count as rank n, so the band is bounded, though the pivot floor
+    # refuses the small pivots its LPs need: no LP over it is unbounded.
+    # Each status is the exact one, and each maximum within cond(G) * EPS of
+    # the exact maximum, 120 LPs per delta
+    rng = np.random.default_rng(7)
+    for delta in (1e-7, 1e-9, 1e-11):
+        for n in range(2, 6):
+            for _ in range(10):
+                s = rng.standard_normal((n + 1, n))
+                s[1] = s[0] + delta * rng.standard_normal(n)
+                s[-1] = 2.0 * s[0]
+                g, h = np.vstack([s, -s]), np.ones(2 * (n + 1))
+                bound = np.linalg.cond(equilibrate(s)[0]) * EPS
+                for row in rng.standard_normal((3, n)):
+                    out = maximize(row, s, 1.0)
+                    status, exact = exact_maximize(row, g, h)
+                    assert (out.status, status) == (OPTIMAL, OPTIMAL)
+                    assert out.value == pytest.approx(float(exact), rel=bound, abs=0.0)
+
+
 def test_square_band_grown_past_n_rows_returns_to_the_simplex():
     # once a row joins a square band the closed form no longer holds: each
     # LP goes back to the simplex, bit for bit that of a band over the whole
