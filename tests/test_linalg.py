@@ -82,6 +82,13 @@ def test_as_matrix_and_as_vector_refuse_non_numbers():
             as_matrix(bad, "gains")
         with pytest.raises(ValueError, match="^start must be an array of real numbers$"):
             as_vector(bad[0] if len(bad) == 1 else [1.0, [2.0]], "start")
+    # numpy reads ragged lists as object arrays, but refuses to nest arrays
+    # of these shapes at all
+    ragged = [np.zeros(2), np.zeros((2, 2))]
+    with pytest.raises(ValueError, match="^gains must be an array of real numbers$"):
+        as_matrix(ragged, "gains")
+    with pytest.raises(ValueError, match="^start must be an array of real numbers$"):
+        as_vector(ragged, "start")
     for bad in ([[10**400, 1]], [[-(10**400), 1]]):
         with pytest.raises(ValueError, match="^gains contains non-finite entries$"):
             as_matrix(bad, "gains")

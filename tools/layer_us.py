@@ -7,18 +7,21 @@ layer below wrapped in a timer, and prints each layer's best batch; a time
 includes the layers it calls and the wrappers' cost.  ``step, no simplex``
 is a ``_step`` that ran no simplex, ``step, simplex glue`` one that did, less
 its simplex.  ``simplex LPs`` counts the LPs the simplex solved, and
-``closed-form LPs`` those ``Band.maximize`` answered without it, over a
+``closed-form LPs`` those ``Band._maximize`` answered without it, over a
 square band of n rows at rank n.  ``warm LPs`` counts the LPs that started
 away from the origin, from the vertex of their band's previous LP: the calls
 of ``_reprice``, which prices each simplex LP once, less those of
-``_origin``, which builds the origin of a fresh or grown band for its first
-(a checkout without ``_origin`` reprices only the warm LPs).  A band
-settles its rows when they join, so ``Band.extend`` holds the Gram-Schmidt
-of the row-space basis and the inverse of a square band, and
-``Band.unbounded``'s time less the joins it makes is its residual test (a
-checkout with ``Band._spanned`` grows the basis in ``Band.unbounded``
-instead).  gaincap and the workloads come from the checkout, no bytecode
-is written, and a layer the checkout lacks prints ``-``.
+``_origin``, which builds the origin of a fresh or grown band for its first.
+``skipped rows`` counts the rows ``Band.maxima`` answered with no LP, by its
+rank test: the outcomes it yielded less the LPs of ``Band._maximize``.  A
+band settles its rows when they join, so ``Band.extend`` holds the
+Gram-Schmidt of the row-space basis and the inverse of a square band.  A
+checkout whose band has a public ``Band.maximize`` and ``Band.unbounded``
+is read too: the first stands for ``Band._maximize``, and the second's time
+less the joins it makes is its residual test, which ``Band.maxima`` runs
+itself where ``Band.unbounded`` is gone.  gaincap and the workloads come
+from the checkout, no bytecode is written, and a layer the checkout lacks
+prints ``-``.
 """
 
 import sys
@@ -43,7 +46,7 @@ LAYERS = {
     "check_gain": (gaincap, "check_gain"), "determine": (capacity, "determine"),
     "_advance": (capacity, "_advance"), "_step": (capacity, "_step"),
     "Band.extend": (lp.Band, "extend"), "Band.unbounded": (lp.Band, "unbounded"),
-    "Band.maximize": (lp.Band, "maximize"), "simplex": (lp, "_solve"),
+    "Band._maximize": (lp.Band, "_maximize", "maximize"), "simplex": (lp, "_solve"),
     "_reprice": (lp, "_reprice"), "_origin": (lp, "_origin"),
 }
 COUNTS = ("steps", "no-simplex steps", "simplex LPs", "closed-form LPs", "warm LPs", "pivots",
@@ -67,10 +70,9 @@ def timed(name, call):
         elif name == "simplex":
             tally["simplex LPs"] += 1
             tally["pivots"] += out.pivots
-        elif name == "Band.maximize":
+        elif name == "Band._maximize":
             tally["closed-form LPs"] += tally["simplex LPs"] == lps
-        elif name == "Band.unbounded":
-            tally["skipped rows"] += sum(out)
+            tally["skipped rows"] -= 1
         elif name == "_reprice":
             tally["warm LPs"] += 1
         elif name == "_origin":
@@ -79,10 +81,23 @@ def timed(name, call):
     return wrapper
 
 
-absent = [name for name, (owner, attr) in LAYERS.items() if not hasattr(owner, attr)]
-for name, (owner, attr) in LAYERS.items():
-    if name not in absent:
+def answered(maxima):
+    """``Band.maxima``, counting each row it answers (a generator, so untimed)."""
+    def wrapper(*args, **kwargs):
+        for out in maxima(*args, **kwargs):
+            tally["skipped rows"] += 1
+            yield out
+    return wrapper
+
+
+absent = []
+for name, (owner, *attrs) in LAYERS.items():
+    attr = next((a for a in attrs if hasattr(owner, a)), None)
+    if attr is None:
+        absent.append(name)
+    else:
         setattr(owner, attr, timed(name, getattr(owner, attr)))
+lp.Band.maxima = answered(lp.Band.maxima)
 best = {}
 for workload in ("sweep", "ladder"):
     w = workloads.WORKLOADS[workload](201)
@@ -96,6 +111,5 @@ for workload in ("sweep", "ladder"):
 print(f"{'us per verdict':24}{'sweep':>10}{'ladder':>10}")
 for name in [*LAYERS, "step, no simplex", "step, simplex glue", *COUNTS]:
     scale, form = (1, ".2f") if name in COUNTS else (1e6, ".1f")
-    missing = name in absent or (name == "warm LPs" and "_reprice" in absent)
-    cells = ["-" if missing else format(best[w].get(name, 0) * scale, form) for w in best]
+    cells = ["-" if name in absent else format(best[w].get(name, 0) * scale, form) for w in best]
     print(f"{name:24}{cells[0]:>10}{cells[1]:>10}")
