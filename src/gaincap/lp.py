@@ -204,7 +204,8 @@ class Band:
         outside = [False] * len(rows)
         if self.rank < self._basis.shape[0]:
             basis = self._basis[: self.rank]
-            outside = np.abs(scaled - (scaled @ basis.T) @ basis).max(axis=1) > UNBOUNDED_RESIDUAL
+            residual = np.abs(scaled - (scaled @ basis.T) @ basis).max(axis=1)
+            outside = (residual > UNBOUNDED_RESIDUAL).tolist()
         for row, row_s, out in zip(rows, scaled, outside):
             yield LpOutcome(UNBOUNDED) if out else self._maximize(row, row_s)
         self._joining = scaled, scale
@@ -301,10 +302,11 @@ def _solve(state: tuple, c: np.ndarray, c_s: np.ndarray, iteration_budget=None) 
                 col = int(np.argmin(np.where(improving, nonbasic, 2 * n + r)))
             column = tab[:-1, col]
             candidates = (column > floor).nonzero()[0]
-            if not candidates.size and bounded:  # the floor refused the only pivots there are
-                candidates = ((column > 0.0) & (floor < np.inf)).nonzero()[0]
             if not candidates.size:
-                return LpOutcome(UNBOUNDED, pivots=pivots)
+                if bounded:  # no ray: the floor refused the only pivots there are
+                    candidates = ((column > 0.0) & (floor < np.inf)).nonzero()[0]
+                if not candidates.size:
+                    return LpOutcome(UNBOUNDED, pivots=pivots)
             ratios = np.maximum(rhs[candidates], 0.0) / column[candidates]
             best = float(ratios[ratios.argmin()])  # the first NaN, as min gives NaN
             limit = best + 1e-12 * (1.0 + best)
