@@ -160,11 +160,15 @@ class IterationRecord:
     ``step + 1`` over the step-``step`` truncation; unbounded programs are
     recorded as ``inf``.  Each row is maximized once: by symmetry of the
     truncation, ``values[2j]`` (+row) and ``values[2j+1]`` (-row) are equal.
+    ``answers[j]`` is ``(start, pivots)`` of row j's LP, aligned with
+    ``values[0::2]``: how it was answered (see :class:`~gaincap.lp.LpOutcome`)
+    and the pivots it took.
     """
 
     step: int
     values: tuple[float, ...]
     stopped: bool
+    answers: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -358,18 +362,20 @@ def _step(band: Band, rows: np.ndarray, stop_tol: float, step: int) -> Iteration
     ``band``, stopped when all are within ``epsilon * (1 + stop_tol)``.  The
     band is centrally symmetric, so each row is maximized once and its
     negation recorded with the same maximum, the value of its outcome or
-    inf when it has none; a failed join stops at constraint 1."""
-    values = []
+    inf when it has none, and its outcome's start and pivots kept as its
+    answer; a failed join stops at constraint 1."""
+    values, answers = [], []
     try:
         for outcome in band.maxima(rows):
             value = math.inf if outcome.value is None else outcome.value
             values += [value, value]
+            answers.append((outcome.start, outcome.pivots))
     except (SimplexBudgetError, OverflowError) as err:
         message = f"LP solver gave up: {err}"
         raise DeterminationError(message, step=step, constraint=len(values) + 1) from err
     bound = band.epsilon * (1.0 + stop_tol)
     stopped = all(v <= bound for v in values)
-    return IterationRecord(step, tuple(values), stopped)
+    return IterationRecord(step, tuple(values), stopped, tuple(answers))
 
 
 def determine(

@@ -232,32 +232,6 @@ def load_problem(path: str) -> Problem:
     return parse_problem(data)
 
 
-def problem_to_dict(problem: Problem) -> dict:
-    """Serialize a problem back to the file schema (parse round-trips)."""
-    sys_ = problem.system
-    out: dict = {"n": sys_.n}
-    if sys_.b is not None:
-        out["m"] = sys_.b.shape[1]
-    out["p"] = sys_.p
-    out["A"] = sys_.a.tolist()
-    if sys_.b is not None:
-        out["B"] = sys_.b.tolist()
-    out["C"] = sys_.c.tolist()
-    if problem.gain is not None:
-        out["K"] = problem.gain.k.tolist()
-    if problem.a_tilde is not None:
-        out["A_tilde"] = problem.a_tilde.tolist()
-    out["tau0"] = sys_.tau0.tolist()
-    out["epsilon"] = sys_.epsilon
-    opts = problem.options
-    out["options"] = {
-        "max_iter": opts.max_iter,
-        "stop_tol": opts.stop_tol,
-        "horizon": opts.horizon,
-    }
-    return out
-
-
 def _loop(problem: Problem) -> dict:
     """The loop keyword argument: the gain if present, otherwise a_tilde."""
     if problem.gain is not None:

@@ -33,7 +33,9 @@ When the new objective is negative at its start vertex, the LP maximizes
 its negation instead and negates the point: the band is centrally
 symmetric, so both have the same maximum.  :func:`maximize` is the first
 outcome of a fresh band's :meth:`Band.maxima`, and :func:`_simplex` solves
-one LP over a program of its own.
+one LP over a program of its own.  Each outcome's ``start`` says which way
+answered it: the rank test, the closed form, or the simplex from the origin
+or from the vertex of the LP before.
 
 All simplex state lives in one compact tableau that keeps only the
 nonbasic columns: each free variable is split into two nonnegative ones
@@ -75,7 +77,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,12 +104,17 @@ class SimplexBudgetError(RuntimeError):
 @dataclass(frozen=True)
 class LpOutcome:
     """Result of one LP; point/value are set only when optimal, and
-    ``pivots`` counts the pivots taken on either outcome."""
+    ``pivots`` counts the pivots taken on either outcome.  ``start`` says
+    how it was answered, and takes no part in equality: ``"rank"`` by the
+    rank test, with no LP; ``"closed"`` by a square band's closed form;
+    ``"origin"`` by the simplex from the origin; ``"vertex"`` by the simplex
+    from the vertex the band's previous LP left."""
 
     status: str
     point: np.ndarray | None = None
     value: float | None = None
     pivots: int = 0
+    start: str = field(default="rank", compare=False)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -220,12 +227,14 @@ class Band:
         if self._inverse is not None:  # a parallelepiped: its vertex in closed form
             with np.errstate(over="ignore", invalid="ignore"):
                 x = self._inverse @ np.copysign(self._rows[:, -1], scaled @ self._inverse)
-            return _optimum(objective, x, 0)
+            return _optimum(objective, x, 0, "closed")
+        start = "vertex"
         if self._vertex is None:  # the origin, until the next extend
+            start = "origin"
             g, h = self._rows[:, :-1], self._rows[:, -1]
             bounded = self.rank == self._basis.shape[0]
             self._vertex = _origin(np.concatenate([g, -g]), np.concatenate([h, h]), bounded)
-        return _solve(self._vertex, objective, scaled)
+        return _solve(self._vertex, objective, scaled, start)
 
 
 def maximize(objective: np.ndarray, s: np.ndarray, epsilon: float) -> LpOutcome:
@@ -240,7 +249,8 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
     of ``50 * (variables + constraints)``.  Raises :class:`OverflowError`
     when the maximum has no float value."""
     g, row_scale = equilibrate(g)
-    return _solve(_origin(g, h / row_scale), c, equilibrate(c[None])[0][0], iteration_budget)
+    return _solve(_origin(g, h / row_scale), c, equilibrate(c[None])[0][0], "origin",
+                  iteration_budget)
 
 
 def _origin(g: np.ndarray, h: np.ndarray, bounded: bool = False) -> tuple:
@@ -274,11 +284,13 @@ def _reprice(tab: np.ndarray, basis: list, nonbasic: list, c_s: np.ndarray) -> b
     return False
 
 
-def _solve(state: tuple, c: np.ndarray, c_s: np.ndarray, iteration_budget=None) -> LpOutcome:
+def _solve(state: tuple, c: np.ndarray, c_s: np.ndarray, start: str,
+           iteration_budget=None) -> LpOutcome:
     """The simplex from the vertex of ``state``, as :func:`_origin` builds
-    it or an earlier LP over the same band left it, priced by the
-    equilibrated objective ``c_s`` (see :func:`_reprice`) and valued by
-    ``c``; ``state`` is left at this LP's last vertex."""
+    it (``start`` ``"origin"``) or an earlier LP over the same band left it
+    (``"vertex"``), priced by the equilibrated objective ``c_s`` (see
+    :func:`_reprice`) and valued by ``c``; ``state`` is left at this LP's
+    last vertex."""
     tab, basis, nonbasic, floor, bounded = state
     n, r = c.shape[0], tab.shape[0] - 1
     budget = 50 * (n + r) if iteration_budget is None else int(iteration_budget)
@@ -306,7 +318,7 @@ def _solve(state: tuple, c: np.ndarray, c_s: np.ndarray, iteration_budget=None) 
                 if bounded:  # no ray: the floor refused the only pivots there are
                     candidates = ((column > 0.0) & (floor < np.inf)).nonzero()[0]
                 if not candidates.size:
-                    return LpOutcome(UNBOUNDED, pivots=pivots)
+                    return LpOutcome(UNBOUNDED, pivots=pivots, start=start)
             ratios = np.maximum(rhs[candidates], 0.0) / column[candidates]
             best = float(ratios[ratios.argmin()])  # the first NaN, as min gives NaN
             limit = best + 1e-12 * (1.0 + best)
@@ -325,16 +337,17 @@ def _solve(state: tuple, c: np.ndarray, c_s: np.ndarray, iteration_budget=None) 
     x = x_split[:n] - x_split[n : 2 * n]
     if mirrored:  # the maximum of -c: the band is centrally symmetric
         np.negative(x, out=x)
-    return _optimum(c, x, pivots)
+    return _optimum(c, x, pivots, start)
 
 
-def _optimum(c: np.ndarray, x: np.ndarray, pivots: int) -> LpOutcome:
-    """The optimal outcome at the maximizer ``x``, read-only, valued as
-    ``c . x`` on the caller's row.  Raises :class:`OverflowError`, without a
-    numpy warning, when that value has no float value."""
+def _optimum(c: np.ndarray, x: np.ndarray, pivots: int, start: str) -> LpOutcome:
+    """The optimal outcome at the maximizer ``x``, read-only, found as
+    ``start`` says and valued as ``c . x`` on the caller's row.  Raises
+    :class:`OverflowError`, without a numpy warning, when that value has no
+    float value."""
     x.setflags(write=False)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(c @ x)
     if not math.isfinite(value):
         raise OverflowError("the maximum left the floating-point range")
-    return LpOutcome(OPTIMAL, point=x, value=value, pivots=pivots)
+    return LpOutcome(OPTIMAL, point=x, value=value, pivots=pivots, start=start)

@@ -17,6 +17,7 @@ Every entry is converted with ``Fraction(x)``: pass Fractions (or decimal
 strings) to mean decimals exactly, since a float ``0.1`` is not ``1/10``.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -138,24 +139,29 @@ def _exact_product(left, right):
     ]
 
 
+def _exact_steps(c, a_tilde, epsilon):
+    """Yield, for k = 0, 1, ..., the exact LP maximum of each output row at
+    step ``k + 1`` over the step-``k`` truncation, None when unbounded.  Each
+    block is formed once, and each row is solved once: ``[S; -S] x <= eps``
+    is centrally symmetric, so its negation has the same maximum."""
+    eps = Fraction(epsilon)
+    at = _exact_matrix(a_tilde)
+    block = _exact_matrix(c)
+    stack = []
+    while True:
+        stack += block
+        block = _exact_product(block, at)
+        g = stack + [[-v for v in row] for row in stack]
+        h = [eps] * len(g)
+        yield [exact_maximize(row, g, h)[1] for row in block]
+
+
 def exact_step_maxima(c, a_tilde, epsilon, k):
     """Exact LP maxima of every signed output row at step ``k + 1`` over the
     step-``k`` truncation ``Theta_k``, in the order +row 1, -row 1, +row 2,
     ...; an unbounded program gives None."""
-    eps = Fraction(epsilon)
-    at = _exact_matrix(a_tilde)
-    blocks = [_exact_matrix(c)]
-    for _ in range(k + 1):
-        blocks.append(_exact_product(blocks[-1], at))
-    stack = [row for block in blocks[:-1] for row in block]
-    g = stack + [[-v for v in row] for row in stack]
-    h = [eps] * len(g)
-    values = []
-    for row in blocks[-1]:
-        for sign in (1, -1):
-            _, value = exact_maximize([sign * v for v in row], g, h)
-            values.append(value)
-    return values
+    maxima = next(itertools.islice(_exact_steps(c, a_tilde, epsilon), k, None))
+    return [value for value in maxima for _ in range(2)]
 
 
 def exact_determination_index(c, a_tilde, epsilon, limit, *, strict=False):
@@ -163,8 +169,7 @@ def exact_determination_index(c, a_tilde, epsilon, limit, *, strict=False):
     :func:`exact_step_maxima` is at most ``epsilon`` (below it when
     ``strict``), or None when there is none."""
     eps = Fraction(epsilon)
-    for k in range(limit):
-        values = exact_step_maxima(c, a_tilde, eps, k)
+    for k, values in zip(range(limit), _exact_steps(c, a_tilde, eps)):
         if all(v is not None and (v < eps if strict else v <= eps) for v in values):
             return k
     return None

@@ -857,21 +857,12 @@ def scaled_rank(rows):
 
 
 @pytest.mark.parametrize("name", [f"ex{i}" for i in range(1, 11)])
-def test_one_lp_per_output_row(name, monkeypatch):
+def test_one_lp_per_output_row(name):
     # the band polyhedron is centrally symmetric, so each output row is
     # maximized at most once and +row and -row record the same value; a row
-    # outside the row space of the stack is unbounded without a solve, and
-    # every other row is solved
+    # the rank test answers is unbounded without a solve and lies outside
+    # the row space of the stack, and every other row is solved
     problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
-    original = gaincap.lp.Band._maximize
-    calls = {}
-
-    def counting_maximize(band, objective, scaled):
-        # the band's height names the step
-        calls.setdefault(band.size, []).append(objective.tobytes())
-        return original(band, objective, scaled)
-
-    monkeypatch.setattr(gaincap.lp.Band, "_maximize", counting_maximize)
     loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {}
     cap = determine(
         problem.system, problem.gain, **loop,
@@ -882,15 +873,20 @@ def test_one_lp_per_output_row(name, monkeypatch):
     for record in cap.history:
         assert len(record.values) == 2 * p
         assert record.values[0::2] == record.values[1::2]
+        assert len(record.answers) == p
         stack = rows[: p * (record.step + 1)]
         objective = rows[p * (record.step + 1) : p * (record.step + 2)]
-        unsolved = {j: row.tobytes() for j, row in enumerate(objective)}
-        for solved in calls.pop(stack.shape[0], []):
-            del unsolved[next(j for j, row in unsolved.items() if row == solved)]
-        for j in unsolved:
-            assert record.values[2 * j] == math.inf
-            assert scaled_rank(np.vstack([stack, objective[j]])) > scaled_rank(stack)
-    assert not calls
+        for j, (start, pivots) in enumerate(record.answers):
+            assert start in ("rank", "closed", "origin", "vertex")
+            if start in ("rank", "closed"):
+                assert pivots == 0
+            if start == "rank":
+                assert record.values[2 * j] == math.inf
+                assert scaled_rank(np.vstack([stack, objective[j]])) > scaled_rank(stack)
+        # a step's first simplex LP starts at the origin of the grown band,
+        # and each later one at the vertex the one before it left
+        simplex = [start for start, _ in record.answers if start in ("origin", "vertex")]
+        assert simplex == ["origin", *["vertex"] * (len(simplex) - 1)][: len(simplex)]
 
 
 def rank_test_loops(seed, count):
@@ -1019,7 +1015,7 @@ def test_ratio_past_the_float_range_never_blocks():
     assert_matches_the_primal(sys_, cap)
 
 
-def test_determine_pivot_count_tripwire(monkeypatch):
+def test_determine_pivot_count_tripwire():
     # a slow-converging loop rho * Q (Q orthogonal) stops at k0 = 47 after
     # 48 steps of 2 rows each; the 6 rows outside the row space of the first
     # 3 stacks are unbounded without a solve, leaving 90 LPs, of which step
@@ -1031,18 +1027,11 @@ def test_determine_pivot_count_tripwire(monkeypatch):
     a_tilde = 0.99 * q * np.sign(np.diag(r))
     c = rng.standard_normal((2, 8))
     c /= np.linalg.norm(c, axis=1, keepdims=True)
-    original = gaincap.lp.Band._maximize
-    pivots = []
-
-    def counting_maximize(band, objective, scaled):
-        outcome = original(band, objective, scaled)
-        pivots.append(outcome.pivots)
-        return outcome
-
-    monkeypatch.setattr(gaincap.lp.Band, "_maximize", counting_maximize)
     cap = determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
-    assert (cap.k0, cap.status, len(pivots)) == (47, DETERMINED, 90)
-    assert sum(pivots) == 1160
+    answers = [a for record in cap.history for a in record.answers if a[0] != "rank"]
+    assert (cap.k0, cap.status, len(answers)) == (47, DETERMINED, 90)
+    assert sum(pivots for _, pivots in answers) == 1160
+    assert [start for start, _ in answers].count("closed") == 2
 
 
 def test_budget_error_on_a_warm_row_names_its_constraint(monkeypatch):

@@ -11,18 +11,25 @@ Two seeded families of loops ``(a_tilde, c)`` with epsilon 1:
   maxima often tie epsilon exactly.  Most coarse draws never determine
   within ``COARSE_STEPS`` steps, so the test takes a dozen draws screened
   beforehand: radius at most 1, no growing mode, an exact index within the
-  limit, and eight of them an exact tie at their index.
+  limit, and eight of them an exact tie at their index;
+- nearly dependent loops, dyadic loops of another seed whose two output
+  rows are the loop's first row ``c0`` and ``c0 + 2**-e d``, ``d`` of
+  entries k/64 and e cycling through 24, 36, 48 and 56.  The band counts
+  the second row as a new direction for e up to 36 and drops it at 56, so
+  the family spans both the band's rank tolerance and its residual test.
 """
 
 import numpy as np
 import pytest
 
 from gaincap.capacity import DETERMINED, ITERATION_LIMIT, SystemSpec, determine
+from gaincap.lp import Band, equilibrate
 from oracles import exact_determination_index, exact_step_maxima, growing_mode
 
 DYADIC_STEPS = 60
 COARSE_STEPS = 25
 COARSE_DRAWS = (10, 36, 50, 70, 71, 121, 135, 176, 178, 205, 244, 290)
+NEAR_EXPONENTS = (24, 36, 48, 56)
 
 
 def dyadic_loops(seed, count):
@@ -50,8 +57,18 @@ def coarse_loops(seed, draws):
     return loops
 
 
+def nearly_dependent_loops(seed, count):
+    rng = np.random.default_rng(seed)
+    loops = []
+    for i, (a, c) in enumerate(dyadic_loops(seed, count)):
+        d = rng.integers(-64, 65, size=a.shape[0]) / 64.0
+        loops.append((a, np.vstack([c[0], c[0] + 2.0 ** -NEAR_EXPONENTS[i % 4] * d])))
+    return loops
+
+
 DYADIC = dyadic_loops(1, 100)
 COARSE = coarse_loops(3, COARSE_DRAWS)
+NEAR = nearly_dependent_loops(2, 48)
 
 
 def search(a, c, steps):
@@ -85,8 +102,25 @@ def test_coarse_loops_match_the_exact_index():
     assert ties == 8
 
 
-@pytest.mark.parametrize("family, steps", [(DYADIC, DYADIC_STEPS), (COARSE, COARSE_STEPS)],
-                         ids=["dyadic", "coarse"])
+def band_rank(c):
+    band = Band(c[:0], 1.0)
+    band.extend(*equilibrate(c))
+    return band.rank
+
+
+def test_nearly_dependent_loops_match_the_exact_index():
+    ranks = {e: set() for e in NEAR_EXPONENTS}
+    for i, (a, c) in enumerate(NEAR):
+        ranks[NEAR_EXPONENTS[i % 4]].add(band_rank(c))
+    assert ranks == {24: {2}, 36: {2}, 48: {1, 2}, 56: {1}}
+    assert [search(a, c, DYADIC_STEPS) for a, c in NEAR] == [
+        exact(a, c, DYADIC_STEPS) for a, c in NEAR
+    ]
+
+
+@pytest.mark.parametrize("family, steps",
+                         [(DYADIC, DYADIC_STEPS), (COARSE, COARSE_STEPS), (NEAR, DYADIC_STEPS)],
+                         ids=["dyadic", "coarse", "nearly-dependent"])
 def test_permuted_negated_or_duplicated_outputs_keep_k0(family, steps):
     # each output row bounds the same set as its negation, in any order and
     # however often it appears, so the capacity set and k0 stay the same
