@@ -163,6 +163,14 @@ class IterationRecord:
     ``answers[j]`` is ``(start, pivots)`` of row j's LP, aligned with
     ``values[0::2]``: how it was answered (see :class:`~gaincap.lp.LpOutcome`)
     and the pivots it took.
+
+    ``a_tilde`` maps each truncation into the one before, so a row's
+    maximum never grows from one step to the next, and a row inside the
+    band stays inside.  :func:`check_gain`'s search uses this from step 1
+    on: a row whose value at the step before is at most ``epsilon * (1 +
+    stop_tol)`` is settled, with no LP.  Its answer is ``("settled", 0)``
+    and its values carry that previous value, an upper bound on its
+    maximum.  :func:`determine` solves every row at every step.
     """
 
     step: int
@@ -180,6 +188,9 @@ class CapacitySet:
     every row satisfies ``|row . x| <= epsilon``.  ``status`` is
     ``"determined"`` or ``"iteration_limit"``; ``k0`` is None in the latter
     case and the rows describe a superset of the true capacity set.
+    ``history`` holds one :class:`IterationRecord` per step; in a set that
+    :func:`check_gain` built, a settled row's values are the bound its
+    previous step gave rather than its own LP maximum.
     """
 
     a_tilde: np.ndarray
@@ -357,23 +368,27 @@ def _advance(block: np.ndarray, a_tilde: np.ndarray, step: int) -> np.ndarray:
     )
 
 
-def _step(band: Band, rows: np.ndarray, stop_tol: float, step: int) -> IterationRecord:
+def _step(band: Band, rows: np.ndarray, stop_tol: float, step: int,
+          previous: tuple[float, ...] = ()) -> IterationRecord:
     """One convergence test: the maxima of every signed row of ``rows`` over
     ``band``, stopped when all are within ``epsilon * (1 + stop_tol)``.  The
     band is centrally symmetric, so each row is maximized once and its
     negation recorded with the same maximum, the value of its outcome or
     inf when it has none, and its outcome's start and pivots kept as its
-    answer; a failed join stops at constraint 1."""
+    answer; a failed join stops at constraint 1.  A row whose value in
+    ``previous``, the values of the step before, is within that bound is
+    settled with no LP (see :class:`IterationRecord`)."""
+    bound = band.epsilon * (1.0 + stop_tol)
+    settled = [v if v <= bound else None for v in previous[0::2]]
     values, answers = [], []
     try:
-        for outcome in band.maxima(rows):
+        for outcome in band.maxima(rows, settled):
             value = math.inf if outcome.value is None else outcome.value
             values += [value, value]
             answers.append((outcome.start, outcome.pivots))
     except (SimplexBudgetError, OverflowError) as err:
         message = f"LP solver gave up: {err}"
         raise DeterminationError(message, step=step, constraint=len(values) + 1) from err
-    bound = band.epsilon * (1.0 + stop_tol)
     stopped = all(v <= bound for v in values)
     return IterationRecord(step, tuple(values), stopped, tuple(answers))
 
@@ -397,8 +412,17 @@ def determine(
     An unbounded subproblem or a larger maximum advances k.  One :class:`~gaincap.lp.Band` carries the
     stack through the search.  After ``max_iter`` steps the status is
     ``"iteration_limit"`` and the accumulated rows describe an outer
-    truncation only.
+    truncation only.  Every row is solved at every step, so the history
+    holds each step's LP maxima.
     """
+    return _search(sys, gain, a_tilde, max_iter, stop_tol, settle=False)
+
+
+def _search(sys: SystemSpec, gain: Gain | None, a_tilde, max_iter: int, stop_tol: float,
+            settle: bool) -> CapacitySet:
+    """The fixpoint search of :func:`determine`; with ``settle``, as
+    :func:`check_gain` runs it, a row within the band at one step is
+    settled at the next (see :class:`IterationRecord`)."""
     at = _resolve_a_tilde(sys, gain, a_tilde)
     max_iter = as_count(max_iter, "max_iter", 1, "at least 1")
     stop_tol = as_real(stop_tol, "stop_tol", 0.0, "a nonnegative finite number")
@@ -407,7 +431,8 @@ def determine(
     history: list[IterationRecord] = []
     for k in range(max_iter):
         objective = _advance(blocks[-1], at, k)
-        history.append(_step(band, objective, stop_tol, k))
+        previous = history[-1].values if settle and history else ()
+        history.append(_step(band, objective, stop_tol, k, previous))
         if history[-1].stopped:
             break
         blocks.append(objective)
@@ -511,8 +536,15 @@ def check_gain(
     alpha-scaled history of tau0 plus the beta-weighted histories of the
     basis vectors, so the gain tolerates all disturbances exactly when tau0
     and each e_j belong to the capacity set.
+
+    The set is :func:`determine`'s, with the same rows, index and status,
+    but its search needs only whether each step stops: a row inside the
+    band at one step stays inside, as its maximum never grows, so from step
+    1 on such a row is settled with no LP and its history records the
+    previous value, an upper bound on its maximum (see
+    :class:`IterationRecord`).
     """
-    cap = determine(sys, gain, a_tilde=a_tilde, max_iter=max_iter, stop_tol=stop_tol)
+    cap = _search(sys, gain, a_tilde, max_iter, stop_tol, settle=True)
     # rows @ [tau0 | I], whose identity block is the rows themselves
     products = np.empty((cap.constraint_rows.shape[0], sys.n + 1))
     products[:, 0], products[:, 1:] = cap.constraint_rows @ sys.tau0, cap.constraint_rows

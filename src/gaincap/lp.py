@@ -34,18 +34,21 @@ its negation instead and negates the point: the band is centrally
 symmetric, so both have the same maximum.  :func:`maximize` is the first
 outcome of a fresh band's :meth:`Band.maxima`, and :func:`_simplex` solves
 one LP over a program of its own.  Each outcome's ``start`` says which way
-answered it: the rank test, the closed form, or the simplex from the origin
-or from the vertex of the LP before.
+answered it: the rank test, the closed form, the simplex from the origin
+or from the vertex of the LP before, or, with no LP, a bound on the row's
+maximum that the caller of :meth:`Band.maxima` already knew.
 
 All simplex state lives in one compact tableau that keeps only the
 nonbasic columns: each free variable is split into two nonnegative ones
 and each constraint has a slack.  At the origin the tableau is
 ``[g | -g | h]``, built by :func:`_origin` from equilibrated rows ``g``
-(``[G; -G]`` for a band) and their scaled bounds ``h``, over the
-reduced-cost row ``[c | -c | 0]``; the label lists ``basis`` and
-``nonbasic`` name the variable of each row and column.  A pivot swaps two
-labels and writes the leaving variable's column where the entering one
-stood, so the unit columns of basic variables are never stored.
+and their scaled bounds ``h``, over the reduced-cost row ``[c | -c | 0]``.
+A band's rows ``g`` are ``[G; -G]``, so its tableau ``[[G, -G, h], [-G,
+G, h]]`` is built from the stored ``[G | h]`` with one negation of ``G``.
+The label lists ``basis`` and ``nonbasic`` name the variable of each row
+and column.  A pivot swaps two labels and writes the leaving variable's
+column where the entering one stood, so the unit columns of basic
+variables are never stored.
 
 The entering column is Dantzig's, the one with the largest reduced cost.
 One ``argmax`` both picks it and ends the phase: the LP is optimal when no
@@ -108,7 +111,14 @@ class LpOutcome:
     how it was answered, and takes no part in equality: ``"rank"`` by the
     rank test, with no LP; ``"closed"`` by a square band's closed form;
     ``"origin"`` by the simplex from the origin; ``"vertex"`` by the simplex
-    from the vertex the band's previous LP left."""
+    from the vertex the band's previous LP left; ``"settled"`` by a bound
+    on the row's maximum that the caller already knew, with no LP and 0
+    pivots.  A settled outcome's value is that bound, which the row's
+    maximum may fall short of, and its point is None.  The fixpoint search
+    of :func:`~gaincap.capacity.check_gain` settles a row whose maximum at
+    the step before was within the band: a row's maximum never grows from
+    one step to the next, so the row stays inside, and its previous
+    maximum is the bound it records."""
 
     status: str
     point: np.ndarray | None = None
@@ -195,13 +205,16 @@ class Band:
         self.size, self._vertex = self._rows.shape[0], None  # the next LP starts at the origin
         self._inverse = np.linalg.inv(self._rows[:, :n]) if self.size == self.rank == n else None
 
-    def maxima(self, rows: np.ndarray) -> Iterator[LpOutcome]:
+    def maxima(self, rows: np.ndarray, bounds: list | None = None) -> Iterator[LpOutcome]:
         """Yield, for each float64 row ``c`` of ``rows``, the maximum of ``c .
         x`` over the band, x sign-free, as an :class:`LpOutcome`, ``optimal``
         (point and value set) or ``unbounded``.  ``rows`` are equilibrated
         once, for their LPs and, once all are yielded, for their join at the
-        next call; a join raises as :meth:`extend` does.  A row whose part
-        outside the basis :meth:`extend` grew has an entry above
+        next call; a join raises as :meth:`extend` does.  ``bounds``, when
+        given, holds for each row a float already known to bound its
+        maximum, or None: a row with a bound needs no LP and yields it as a
+        ``"settled"`` outcome, yet still joins.  A row whose part outside
+        the basis :meth:`extend` grew has an entry above
         ``UNBOUNDED_RESIDUAL`` is unbounded with 0 pivots and no LP (the rank
         test); smaller parts are left to :meth:`_maximize`."""
         scaled, scale = equilibrate(rows)
@@ -213,8 +226,11 @@ class Band:
             basis = self._basis[: self.rank]
             residual = np.abs(scaled - (scaled @ basis.T) @ basis).max(axis=1)
             outside = (residual > UNBOUNDED_RESIDUAL).tolist()
-        for row, row_s, out in zip(rows, scaled, outside):
-            yield LpOutcome(UNBOUNDED) if out else self._maximize(row, row_s)
+        for row, row_s, out, bound in zip(rows, scaled, outside, bounds or [None] * len(rows)):
+            if bound is not None:
+                yield LpOutcome(OPTIMAL, value=bound, start="settled")
+            else:
+                yield LpOutcome(UNBOUNDED) if out else self._maximize(row, row_s)
         self._joining = scaled, scale
 
     def _maximize(self, objective: np.ndarray, scaled: np.ndarray) -> LpOutcome:
@@ -231,9 +247,8 @@ class Band:
         start = "vertex"
         if self._vertex is None:  # the origin, until the next extend
             start = "origin"
-            g, h = self._rows[:, :-1], self._rows[:, -1]
             bounded = self.rank == self._basis.shape[0]
-            self._vertex = _origin(np.concatenate([g, -g]), np.concatenate([h, h]), bounded)
+            self._vertex = _origin(self._rows[:, :-1], self._rows[:, -1], bounded, symmetric=True)
         return _solve(self._vertex, objective, scaled, start)
 
 
@@ -253,17 +268,25 @@ def _simplex(c: np.ndarray, g: np.ndarray, h: np.ndarray, iteration_budget=None)
                   iteration_budget)
 
 
-def _origin(g: np.ndarray, h: np.ndarray, bounded: bool = False) -> tuple:
+def _origin(g: np.ndarray, h: np.ndarray, bounded: bool = False,
+            symmetric: bool = False) -> tuple:
     """The simplex state at the origin of ``g x <= h``, x sign-free, from
-    the equilibrated rows ``g`` and their scaled bounds ``h``: the tableau
-    ``[g | -g | h]`` with a row for the reduced costs, the basic and
-    nonbasic labels, the floor a row's pivot-column entry must pass in the
-    ratio test (inf in a row whose structural is basic), and whether the
-    program is known to be bounded, so that it has no ray."""
+    the equilibrated rows ``g`` and their scaled bounds ``h``, or, when
+    ``symmetric``, of the band ``[g; -g] x <= [h; h]``: the tableau
+    ``[g | -g | h]`` (``[[g, -g, h], [-g, g, h]]`` for a band, with ``g``
+    negated once) with a row for the reduced costs, the basic and nonbasic
+    labels, the floor a row's pivot-column entry must pass in the ratio
+    test (inf in a row whose structural is basic), and whether the program
+    is known to be bounded, so that it has no ray."""
     r, n = g.shape
-    tab = np.empty((r + 1, 2 * n + 1))
-    np.concatenate([g, -g, h[:, None]], axis=1, out=tab[:-1])
-    return tab, list(range(2 * n, 2 * n + r)), list(range(2 * n)), np.full(r, PIVOT_TOL), bounded
+    rows = 2 * r if symmetric else r
+    neg, h = np.negative(g), h[:, None]
+    tab = np.empty((rows + 1, 2 * n + 1))
+    np.concatenate([g, neg, h], axis=1, out=tab[:r])
+    if symmetric:
+        np.concatenate([neg, g, h], axis=1, out=tab[r:-1])
+    basis, nonbasic = list(range(2 * n, 2 * n + rows)), list(range(2 * n))
+    return tab, basis, nonbasic, np.full(rows, PIVOT_TOL), bounded
 
 
 def _reprice(tab: np.ndarray, basis: list, nonbasic: list, c_s: np.ndarray) -> bool:

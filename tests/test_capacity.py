@@ -1015,6 +1015,17 @@ def test_ratio_past_the_float_range_never_blocks():
     assert_matches_the_primal(sys_, cap)
 
 
+def rho_q_loop():
+    """The pivot tripwire's slow-converging loop ``rho * Q`` (Q orthogonal),
+    as its system; a_tilde is ``system.a``."""
+    rng = np.random.default_rng(0)
+    q, r = np.linalg.qr(rng.standard_normal((8, 8)))
+    a_tilde = 0.99 * q * np.sign(np.diag(r))
+    c = rng.standard_normal((2, 8))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    return SystemSpec(a_tilde, None, c, np.zeros(8), 0.3)
+
+
 def test_determine_pivot_count_tripwire():
     # a slow-converging loop rho * Q (Q orthogonal) stops at k0 = 47 after
     # 48 steps of 2 rows each; the 6 rows outside the row space of the first
@@ -1022,16 +1033,77 @@ def test_determine_pivot_count_tripwire():
     # 3's 2, over 8 rows of rank 8, take the closed form and 0 pivots.  The pinned
     # pivot total catches a change of pricing rule, ratio test, warm start
     # or tableau arithmetic that the k0 alone would not show
-    rng = np.random.default_rng(0)
-    q, r = np.linalg.qr(rng.standard_normal((8, 8)))
-    a_tilde = 0.99 * q * np.sign(np.diag(r))
-    c = rng.standard_normal((2, 8))
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
-    cap = determine(SystemSpec(a_tilde, None, c, np.zeros(8), 0.3), a_tilde=a_tilde)
+    sys_ = rho_q_loop()
+    cap = determine(sys_, a_tilde=sys_.a)
     answers = [a for record in cap.history for a in record.answers if a[0] != "rank"]
     assert (cap.k0, cap.status, len(answers)) == (47, DETERMINED, 90)
     assert sum(pivots for _, pivots in answers) == 1160
     assert [start for start, _ in answers].count("closed") == 2
+
+
+def test_no_row_maximum_grows_from_one_step_to_the_next():
+    # a_tilde maps each truncation into the one before, so a row's maximum
+    # never grows from one step to the next: check_gain's search settles a
+    # row inside the band on this.  ex9 is left out, as its rows grow to
+    # 1e59 and its float maxima by 1.0 relative
+    systems = [(sys_, {"a_tilde": sys_.a, "max_iter": 30})
+               for seed in (31, 47, 53) for sys_ in rank_test_loops(seed, 40)]
+    systems.append((rho_q_loop(), {"a_tilde": rho_q_loop().a}))
+    for name in [f"ex{i}" for i in range(1, 11) if i != 9]:
+        problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
+        loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {"gain": problem.gain}
+        systems.append((problem.system, {**loop, "stop_tol": problem.options.stop_tol}))
+    for sys_, search in systems:
+        values = np.array([record.values for record in determine(sys_, **search).history])
+        before, after = values[:-1], values[1:]
+        finite = np.isfinite(before)
+        assert np.all(after[finite] <= before[finite] + 1e-12 * np.abs(before[finite]))
+
+
+def assert_check_gain_settles(sys_, **search):
+    """check_gain's search finds determine's index, status and rows bit for
+    bit; each row it settles, from step 1 on, answers ``("settled", 0)`` and
+    carries its value of the step before, which is within the band.
+    Returns check_gain's set and the rows it settled."""
+    cap = determine(sys_, **search)
+    got = check_gain(sys_, **search).capacity
+    assert (got.k0, got.status) == (cap.k0, cap.status)
+    assert got.constraint_rows.tobytes() == cap.constraint_rows.tobytes()
+    bound = sys_.epsilon * (1.0 + search.get("stop_tol", 1e-9))
+    settled = 0
+    for before, record in zip((None, *got.history), got.history):
+        for j, answer in enumerate(record.answers):
+            if answer[0] == "settled":
+                assert answer == ("settled", 0) and before is not None
+                assert record.values[2 * j] == record.values[2 * j + 1] == before.values[2 * j]
+                assert before.values[2 * j] <= bound
+                settled += 1
+    return got, settled
+
+
+def test_check_gain_settles_rows_inside_the_band():
+    # check_gain needs only whether each step stops, so a row inside the
+    # band at one step is not solved again; the set is determine's.  ex9
+    # stays at its iteration limit with 160 of its 400 rows settled
+    found = {}
+    for name in [f"ex{i}" for i in range(1, 11)]:
+        problem = load_problem(str(Path(__file__).parent / "fixtures" / f"{name}.json"))
+        loop = {"a_tilde": problem.a_tilde} if problem.gain is None else {"gain": problem.gain}
+        found[name] = assert_check_gain_settles(
+            problem.system, **loop, max_iter=problem.options.max_iter,
+            stop_tol=problem.options.stop_tol,
+        )
+    cap, settled = found["ex9"]
+    assert (cap.status, len(cap.history), settled) == (ITERATION_LIMIT, 200, 160)
+
+
+def test_check_gain_pivot_count_tripwire():
+    # on the tripwire's loop check_gain settles 6 rows and stops at the same
+    # k0 with 1,089 pivots, against determine's 1,160
+    sys_ = rho_q_loop()
+    cap, settled = assert_check_gain_settles(sys_, a_tilde=sys_.a)
+    assert (cap.k0, cap.status, settled) == (47, DETERMINED, 6)
+    assert sum(pivots for record in cap.history for _, pivots in record.answers) == 1089
 
 
 def test_budget_error_on_a_warm_row_names_its_constraint(monkeypatch):

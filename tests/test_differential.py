@@ -22,7 +22,7 @@ Two seeded families of loops ``(a_tilde, c)`` with epsilon 1:
 import numpy as np
 import pytest
 
-from gaincap.capacity import DETERMINED, ITERATION_LIMIT, SystemSpec, determine
+from gaincap.capacity import DETERMINED, ITERATION_LIMIT, SystemSpec, check_gain, determine
 from gaincap.lp import Band, equilibrate
 from oracles import exact_determination_index, exact_step_maxima, growing_mode
 
@@ -131,3 +131,20 @@ def test_permuted_negated_or_duplicated_outputs_keep_k0(family, steps):
         assert search(a, c[rng.permutation(p)], steps) == expected
         assert search(a, c * rng.choice([-1.0, 1.0], size=(p, 1)), steps) == expected
         assert search(a, np.vstack([c, c[rng.integers(p)]]), steps) == expected
+
+
+def test_check_gain_finds_the_set_of_determine():
+    # check_gain's search settles, with no LP, a row that was inside the
+    # band at the step before; the coarse family's exact ties at epsilon
+    # settle too, and the index, status and rows stay determine's
+    settled = []
+    for family, steps in ((DYADIC, DYADIC_STEPS), (COARSE, COARSE_STEPS), (NEAR, DYADIC_STEPS)):
+        settled.append(0)
+        for a, c in family:
+            sys_ = SystemSpec(a, None, c, np.zeros(a.shape[0]), 1.0)
+            cap = determine(sys_, a_tilde=a, max_iter=steps)
+            got = check_gain(sys_, a_tilde=a, max_iter=steps).capacity
+            assert (got.k0, got.status) == (cap.k0, cap.status)
+            assert got.constraint_rows.tobytes() == cap.constraint_rows.tobytes()
+            settled[-1] += sum(start == "settled" for r in got.history for start, _ in r.answers)
+    assert settled[0] > 0 and settled[1] > 0, settled

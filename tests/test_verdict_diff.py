@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from gaincap.capacity import IterationRecord
+
 SPEC = importlib.util.spec_from_file_location(
     "verdict_diff", Path(__file__).resolve().parent.parent / "tools" / "verdict_diff.py"
 )
@@ -27,3 +29,22 @@ def test_compare_counts_mismatches_by_kind_and_the_largest_move_of_maxima():
     assert counts["other"] == 1
     counts, _ = verdict_diff.compare([("k0", 1), ("exit", 0)], [("k0", 1)])
     assert counts["other"] == 1
+
+
+def test_rows_settled_on_either_side_are_left_out_and_counted():
+    # a settled row carries the bound of the step before, not an LP
+    # maximum, so only the rows both sides solved are compared
+    parent = [("history", (0.5, 0.5, 0.375, 0.375)), ("history", (2.0, 2.0))]
+    change = [("history", (0.5 + 1e-13, 0.5 + 1e-13, None, None)), ("history", (None, None))]
+    counts, largest = verdict_diff.compare(parent, change)
+    assert not any(counts.values())
+    assert largest["history"] == pytest.approx(2e-13, rel=1e-3)
+    assert verdict_diff.settled_rows(parent, change) == 2
+    assert verdict_diff.settled_rows(change, change) == 2
+    assert verdict_diff.settled_rows(parent, parent) == 0
+
+
+def test_solved_maxima_marks_the_settled_rows_of_a_record():
+    record = IterationRecord(3, (1.0, 1.0, 0.25, 0.25, 0.5, 0.5), True,
+                             (("vertex", 4), ("settled", 0), ("origin", 2)))
+    assert verdict_diff.solved_maxima(record) == (1.0, 1.0, None, None, 0.5, 0.5)

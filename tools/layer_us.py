@@ -11,12 +11,18 @@ its simplex.  The counts come from the ``answers`` of the
 ``simplex LPs`` counts the rows the simplex solved, ``closed-form LPs``
 those answered without it over a square band of n rows at rank n, ``warm
 LPs`` the simplex LPs that started away from the origin, from the vertex of
-their band's previous LP, and ``skipped rows`` the rows the rank test
-answered with no LP.  A band settles its rows when they join, so
+their band's previous LP, ``skipped rows`` the rows the rank test
+answered with no LP, and ``settled rows`` the rows ``check_gain``'s search
+answered with no LP because their maximum at the step before was already
+within the band (a row's maximum never grows from one step to the next,
+so its previous value bounds it).  ``determine`` is 0 where the
+workloads reach the search only through ``check_gain``, which runs it
+as ``_search``.  A band settles its rows when they join, so
 ``Band.extend`` holds the Gram-Schmidt of the row-space basis and the
 inverse of a square band.  gaincap and the workloads come from the
-checkout, and no bytecode is written.  A checkout whose records have no
-``answers`` is read with its own copy of this tool.
+checkout, and no bytecode is written; a layer the checkout lacks reads
+0.  A checkout whose records have no ``answers`` is read with its own
+copy of this tool.
 """
 
 import sys
@@ -39,12 +45,13 @@ LAYERS = {
     "controllability_matrix": (capacity, "controllability_matrix"),
     "induced_inf_norm": (capacity, "induced_inf_norm"), "closed_loop": (capacity, "closed_loop"),
     "check_gain": (gaincap, "check_gain"), "determine": (capacity, "determine"),
+    "_search": (capacity, "_search"),
     "_advance": (capacity, "_advance"), "_step": (capacity, "_step"),
     "Band.extend": (lp.Band, "extend"), "Band._maximize": (lp.Band, "_maximize"),
     "simplex": (lp, "_solve"), "_reprice": (lp, "_reprice"), "_origin": (lp, "_origin"),
 }
 COUNTS = ("steps", "no-simplex steps", "simplex LPs", "closed-form LPs", "warm LPs", "pivots",
-          "skipped rows")
+          "skipped rows", "settled rows")
 tally = defaultdict(float)
 
 
@@ -67,12 +74,14 @@ def timed(name, call):
             tally["warm LPs"] += starts.count("vertex")
             tally["pivots"] += sum(pivots for _, pivots in out.answers)
             tally["skipped rows"] += starts.count("rank")
+            tally["settled rows"] += starts.count("settled")
         return out
     return wrapper
 
 
 for name, (owner, attr) in LAYERS.items():
-    setattr(owner, attr, timed(name, getattr(owner, attr)))
+    if hasattr(owner, attr):
+        setattr(owner, attr, timed(name, getattr(owner, attr)))
 best = {}
 for workload in ("sweep", "ladder"):
     w = workloads.WORKLOADS[workload](201)

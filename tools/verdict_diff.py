@@ -18,8 +18,11 @@ prints the results compared and the mismatches of each kind:
 
 and the largest relative difference of any history maximum and of any
 ``stop_test`` maximum, inf where one side is unbounded and the other is
-not.  It exits 1 on any mismatch; no mismatch and both largest differences
-0 mean every result is bit-identical.  gaincap and the workloads are
+not.  A history row that ``check_gain``'s search settled on either side
+(its answer's start is ``"settled"``) carries the bound of the step
+before, not an LP maximum: it is left out of the differences and counted
+under ``settled``.  It exits 1 on any mismatch; no mismatch and both
+largest differences 0 mean every result is bit-identical.  gaincap and the workloads are
 imported from each checkout, and no bytecode is written.
 """
 
@@ -41,11 +44,18 @@ def array_key(a):
     return f"{a.dtype}{a.shape}".encode() + a.tobytes()
 
 
+def solved_maxima(record):
+    """A record's maxima, None for both signed maxima of a settled row."""
+    starts = [start for start, _ in getattr(record, "answers", ())]
+    return tuple(None if starts and starts[j // 2] == "settled" else value
+                 for j, value in enumerate(record.values))
+
+
 def capacity(cap, out):
     out += [("k0", cap.k0), ("status", cap.status), ("rows", array_key(cap.constraint_rows)),
             ("other", (cap.epsilon, cap.output_dim, array_key(cap.a_tilde)))]
     for record in cap.history:
-        out += [("other", (record.step, record.stopped)), ("history", record.values)]
+        out += [("other", (record.step, record.stopped)), ("history", solved_maxima(record))]
 
 
 def report(rep, out):
@@ -130,8 +140,6 @@ def collect(checkout):
 
 def relative(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        return None
     with np.errstate(invalid="ignore"):
         diff = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
     diff[a == b] = 0.0
@@ -139,9 +147,15 @@ def relative(a, b):
     return float(diff.max(initial=0.0))
 
 
+def both_solved(old, new):
+    """Whether each signed maximum was solved on both sides, not settled
+    (None) on either."""
+    return [a is not None and b is not None for a, b in zip(old, new)]
+
+
 def compare(parent, change):
     """Mismatches per kind, and the largest relative difference of each kind
-    of maxima."""
+    of maxima over the rows both sides solved."""
     counts = dict.fromkeys(KINDS, 0)
     largest = dict.fromkeys(MAXIMA, 0.0)
     if [k for k, _ in parent] != [k for k, _ in change]:
@@ -150,14 +164,24 @@ def compare(parent, change):
         if kind != new_kind:
             continue
         if kind in MAXIMA:
-            rel = relative(old, new)
-            if rel is None:
+            if len(old) != len(new):
                 counts["other"] += 1
-            else:
-                largest[kind] = max(largest[kind], rel)
+                continue
+            solved = both_solved(old, new)
+            rel = relative([a for a, keep in zip(old, solved) if keep],
+                           [b for b, keep in zip(new, solved) if keep])
+            largest[kind] = max(largest[kind], rel)
         elif old != new:
             counts[kind] += 1
     return counts, largest
+
+
+def settled_rows(parent, change):
+    """The rows that either side settled, left out of :func:`compare`'s
+    differences; maxima come in (+row, -row) pairs."""
+    return sum(both_solved(old, new)[0::2].count(False)
+               for (kind, old), (new_kind, new) in zip(parent, change)
+               if kind == new_kind and kind in MAXIMA and len(old) == len(new))
 
 
 def main(argv):
@@ -166,14 +190,15 @@ def main(argv):
     sys.dont_write_bytecode = True
     parent, change = collect(argv[1]), collect(argv[2])
     print(f"{'part':9}{'items':>8}" + "".join(f"{k:>9}" for k in KINDS)
-          + "".join(f"{k:>11}" for k in MAXIMA))
+          + "".join(f"{k:>11}" for k in MAXIMA) + f"{'settled':>9}")
     mismatched = False
     for part in parent:
         counts, largest = compare(parent[part], change[part])
+        settled = settled_rows(parent[part], change[part])
         mismatched |= any(counts.values())
         items = sum(kind not in MAXIMA for kind, _ in parent[part])
         print(f"{part:9}{items:>8}" + "".join(f"{counts[k]:>9}" for k in KINDS)
-              + "".join(f"{largest[k]:>11.2e}" for k in MAXIMA))
+              + "".join(f"{largest[k]:>11.2e}" for k in MAXIMA) + f"{settled:>9}")
     return int(mismatched)
 
 
