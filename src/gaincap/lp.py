@@ -12,7 +12,7 @@ equilibrated (each row scaled by its largest absolute entry) once, by
 leaves the feasible set untouched, and keeps the tableau well-conditioned
 when rows span many orders of magnitude.
 
-A band settles its rows where they join, in :meth:`Band.extend`.  While
+A band takes in its rows where they join, in :meth:`Band.extend`.  While
 the stack has rank below n the band is a cylinder: each joining row grows
 an orthonormal basis of the row space by Gram-Schmidt, with no SVD, and
 :meth:`Band.maxima` answers a row clearly outside that space as unbounded,
@@ -177,7 +177,7 @@ class Band:
 
     def extend(self, scaled: np.ndarray, scale: np.ndarray) -> None:
         """Let the rows ``scaled * scale[:, None]`` join the band, given as
-        :func:`equilibrate` returns them, and settle them.  Until rank n, row
+        :func:`equilibrate` returns them, and take them in.  Until rank n, row
         ``r`` of the stack enters the basis by Gram-Schmidt applied twice and
         adds a direction when its part outside the basis passes numpy's
         default rank tolerance, with ``sqrt(r * n)``, a bound on the norm of

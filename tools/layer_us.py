@@ -17,7 +17,7 @@ answered with no LP because their maximum at the step before was already
 within the band (a row's maximum never grows from one step to the next,
 so its previous value bounds it).  ``determine`` is 0 where the
 workloads reach the search only through ``check_gain``, which runs it
-as ``_search``.  A band settles its rows when they join, so
+as ``_search``.  A band takes in its rows when they join, so
 ``Band.extend`` holds the Gram-Schmidt of the row-space basis and the
 inverse of a square band.  gaincap and the workloads come from the
 checkout, and no bytecode is written; a layer the checkout lacks reads

@@ -22,8 +22,8 @@ not.  A history row that ``check_gain``'s search settled on either side
 (its answer's start is ``"settled"``) carries the bound of the step
 before, not an LP maximum: it is left out of the differences and counted
 under ``settled``.  It exits 1 on any mismatch; no mismatch and both
-largest differences 0 mean every result is bit-identical.  gaincap and the workloads are
-imported from each checkout, and no bytecode is written.
+largest differences 0 mean every result is bit-identical.  gaincap and the
+workloads are imported from each checkout, and no bytecode is written.
 """
 
 import dataclasses
